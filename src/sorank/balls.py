@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .errors import ParamError, SizeError
-from .words import MatrixWord, word_add
+from .words import MatrixWord
 
 ENUM_LIMIT = 1 << 22
 
@@ -145,11 +145,12 @@ def iter_full_colrank(field, n, i):
     yield from rec([], {zero})
 
 
-def _assemble(field, cols, rref_rows, n, m):
-    """X with X = A * B, A given by columns, B by RREF rows."""
+def _assemble(field, cols, rref_rows, center):
+    """The word center + A * B, A given by columns, B by RREF rows."""
     add, mul = field.add, field.mul
     i = len(cols)
-    out = [[0] * m for _ in range(n)]
+    n, m = center.n, center.m
+    out = [list(row) for row in center.entries]
     for t in range(i):
         col = cols[t]
         brow = rref_rows[t]
@@ -161,7 +162,7 @@ def _assemble(field, cols, rref_rows, n, m):
             for c in range(m):
                 if brow[c]:
                     orow[c] = add(orow[c], mul(a, brow[c]))
-    return out
+    return MatrixWord(tuple(tuple(row) for row in out), field)
 
 
 def enumerate_ball(spec: BallSpec):
@@ -169,12 +170,13 @@ def enumerate_ball(spec: BallSpec):
     q, n, m = spec.params
     if spec.size() > ENUM_LIMIT:
         raise SizeError(f"ball size {spec.size()} exceeds 2^22")
-    field = spec.center.field
+    center = spec.center
+    field = center.field
     for i in range(spec.radius + 1):
+        col_sets = list(iter_full_colrank(field, n, i))
         for rref_rows in iter_rref(field, i, m):
-            for cols in iter_full_colrank(field, n, i):
-                delta = _assemble(field, cols, rref_rows, n, m)
-                yield word_add(spec.center, MatrixWord(tuple(tuple(r) for r in delta), field))
+            for cols in col_sets:
+                yield _assemble(field, cols, rref_rows, center)
 
 
 def _sample_rref(field, i, m, rng):
@@ -224,5 +226,4 @@ def sample_from_ball(spec: BallSpec, rng) -> MatrixWord:
         cols = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(i)]
         if linalg.rank(field, [list(c) for c in cols]) == i:
             break
-    delta = _assemble(field, cols, rref_rows, n, m)
-    return word_add(spec.center, MatrixWord(tuple(tuple(r) for r in delta), field))
+    return _assemble(field, cols, rref_rows, spec.center)

@@ -153,6 +153,8 @@ def _parse_config(path):
                 if "=" not in ln:
                     raise FormatError(f"bad config line: {ln!r}")
                 key, val = (s.strip() for s in ln.split("=", 1))
+                if key in data:
+                    raise FormatError(f"duplicate config key {key!r}")
                 data[key] = val
     except OSError as exc:
         raise FormatError(f"cannot read config: {exc}") from exc

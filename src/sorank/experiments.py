@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .balls import BallSpec, ball_size_exact, enumerate_ball, sample_from_ball
+from .balls import ENUM_LIMIT, BallSpec, ball_size_exact, enumerate_ball, sample_from_ball
 from .construct import max_so_dimension, sample_code_star, so_code
 from .errors import ParamError, SizeError
 from .fields import ext_field, field_from_q
@@ -25,13 +25,10 @@ from .words import (
     MatrixWord,
     VectorWord,
     is_self_orthogonal,
-    mat_to_vec,
     rank_distance,
     vec_to_mat,
     word_rank,
 )
-
-ENUM_LIMIT = 1 << 22
 
 ENSEMBLES = ("self-orthogonal", "code-star", "uniform-linear")
 
@@ -94,12 +91,9 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     if code_size <= ENUM_LIMIT and (bsize is None or code_size <= bsize):
         return sum(1 for w in code.iter_words() if rank_distance(center, w) <= r)
     if bsize is not None and bsize <= ENUM_LIMIT:
-        if code.repr == "matrix":
-            spec = BallSpec(center, r)
-            return sum(1 for w in enumerate_ball(spec) if code.contains(w))
-        spec = BallSpec(vec_to_mat(center), r)
-        ext = code.ext
-        return sum(1 for w in enumerate_ball(spec) if code.contains(mat_to_vec(w, ext)))
+        if code.repr == "vector":
+            center = vec_to_mat(center)
+        return sum(1 for w in enumerate_ball(BallSpec(center, r)) if code.contains(w))
     raise SizeError("both the code and the ball are too large to enumerate")
 
 

@@ -11,6 +11,7 @@ pairwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from . import linalg
 from .errors import FormatError, ParamError
@@ -129,6 +130,16 @@ def rank_distance(X, Y):
     return word_rank(d)
 
 
+def _dot(F, xs, ys):
+    """sum x_i y_i over F, for equal-length sequences."""
+    add, mul = F.add, F.mul
+    s = 0
+    for a, b in zip(xs, ys):
+        if a and b:
+            s = add(s, mul(a, b))
+    return s
+
+
 def trace_inner_product(X: MatrixWord, Y: MatrixWord):
     """Tr(X Y^T) = sum of entrywise products, an element of GF(q)."""
     if (X.n, X.m) != (Y.n, Y.m):
@@ -147,12 +158,7 @@ def vector_inner_product(x: VectorWord, y: VectorWord):
     """<x, y> = sum x_i y_i in GF(q^m)."""
     if x.n != y.n:
         raise ParamError("length mismatch")
-    F = x.field
-    s = 0
-    for a, b in zip(x.coords, y.coords):
-        if a and b:
-            s = F.add(s, F.mul(a, b))
-    return s
+    return _dot(x.field, x.coords, y.coords)
 
 
 def word_inner(a, b):
@@ -275,9 +281,41 @@ class LinearCode:
             return MatrixWord.zero(self.field, self.n, self.m)
         return VectorWord((0,) * self.n, self.ext)
 
+    @cached_property
+    def parity_check(self):
+        """Rows over GF(q) whose dot products with the flattened (row-major)
+        n x m matrix X all vanish exactly when X lies in the code.
+
+        A vector code is read in its matrix picture over the attached basis
+        beta_1..beta_m, the one ``vec_to_mat`` expands over: x_i is
+        sum_j X_ij beta_j.  For each row h of its GF(q^m) parity-check
+        matrix, h . x = sum_ij X_ij (h_i beta_j) vanishes iff each of its m
+        base-q digits does, and digit t gives the GF(q) row
+        [digit_t(h_i beta_j)]_ij.  This needs one elimination over GF(q^m)
+        on n columns instead of one over GF(q) on nm columns.
+        """
+        L = self.lin_field()
+        H = linalg.nullspace(L, self.flat_basis() or [[0] * self._width()])
+        if self.repr == "matrix":
+            return tuple(tuple(h) for h in H)
+        ext = self.ext
+        rows = []
+        for h in H:
+            digits = [ext.to_digits(ext.mul(hi, b)) for hi in h for b in ext.basis]
+            rows.extend(tuple(d[t] for d in digits) for t in range(self.m))
+        return tuple(rows)
+
     def contains(self, word):
-        target = list(word.flatten()) if self.repr == "matrix" else list(word.coords)
-        return linalg.solve_in_span(self.lin_field(), self.flat_basis(), target) is not None
+        """Membership by syndrome against ``parity_check``.  Takes a matrix
+        word in either representation; a vector word goes through
+        ``vec_to_mat`` first."""
+        if isinstance(word, VectorWord):
+            word = vec_to_mat(word)
+        if (word.n, word.m) != (self.n, self.m):
+            raise ParamError("dimension mismatch")
+        x = word.flatten()
+        F = self.field
+        return not any(_dot(F, h, x) for h in self.parity_check)
 
     def canonical_key(self):
         """RREF of the flattened basis; equal codes share this key."""

@@ -110,6 +110,11 @@ def test_experiment_config_errors(tmp_path):
     out = run_cli("experiment", "--config", str(cfg))
     assert out.returncode == 1
     assert out.stderr.startswith("error: E_FORMAT:")
+    cfg.write_text("q=2\nn=2\nm=4\ntau=0.5\nepsilon=0.1\ntrials=5\nq=3\n")
+    out = run_cli("experiment", "--config", str(cfg))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: E_FORMAT:") and "duplicate config key 'q'" in out.stderr
+    assert out.stdout == ""
     cfg.write_text("q=2\nn=2\n")
     out = run_cli("experiment", "--config", str(cfg))
     assert out.returncode == 1 and "missing" in out.stderr

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from sorank import experiments, linalg
+from sorank.balls import BallSpec, ball_size_exact, enumerate_ball
 from sorank.errors import ParamError
 from sorank.experiments import (
     EventEstimate,
@@ -20,8 +22,8 @@ from sorank.experiments import (
     trial_seed,
     wilson_interval,
 )
-from sorank.fields import ext_field, field_from_q
-from sorank.words import LinearCode, MatrixWord, VectorWord, rank_distance
+from sorank.fields import ExtField, ext_field, field_from_q
+from sorank.words import LinearCode, MatrixWord, VectorWord, rank_distance, vec_to_mat
 
 F2 = field_from_q(2)
 
@@ -64,27 +66,113 @@ def test_list_size_at_small_oracle():
     assert list_size_at(zero, MatrixWord(((1, 0), (0, 1)), F2), 1) == 0
 
 
-def test_list_size_routes_agree():
+# Codes whose list sizes are checked against the code-scan oracle.  Each case
+# is (q, n, m, k, ext, ball_radii): ext is None for a matrix code, else the
+# extension of a vector code (m = ext.m), and ball_radii are exactly the radii
+# at which |C| exceeds the ball, so list_size_at must take the ball scan.
+# 1, x, x+x^2 is no GF(8)-multiple of the polynomial basis, so it changes the
+# matrix picture of a vector code.
+E8_NONPOLY = ExtField(field_from_q(2), 3, basis=(1, 2, 6))
+MATRIX_CASES = {
+    "GF2-2x3-k5": (2, 2, 3, 5, None, (0, 1)),
+    "GF3-2x3-k5": (3, 2, 3, 5, None, (0, 1)),
+    "GF4-2x3-k5": (4, 2, 3, 5, None, (0, 1)),
+    "GF2-2x2-k0": (2, 2, 2, 0, None, ()),
+    "GF2-2x2-full": (2, 2, 2, 4, None, (0, 1)),
+    "GF3-2x2-full": (3, 2, 2, 4, None, (0, 1)),
+}
+VECTOR_CASES = {
+    "GF4-n2-k1": (2, 2, 2, 1, ext_field(2, 2), (0,)),
+    "GF4-n2-full": (2, 2, 2, 2, ext_field(2, 2), (0, 1)),
+    "GF8-n3-k2": (2, 3, 3, 2, ext_field(2, 3), (0, 1)),
+    "GF8-n3-full": (2, 3, 3, 3, ext_field(2, 3), (0, 1, 2)),
+    "GF9-n2-k1": (3, 2, 2, 1, ext_field(3, 2), (0,)),
+    "GF9-n2-full": (3, 2, 2, 2, ext_field(3, 2), (0, 1)),
+    "GF8-nonpoly-n3-k2": (2, 3, 3, 2, E8_NONPOLY, (0, 1)),
+    "GF8-nonpoly-n2-full": (2, 2, 3, 2, E8_NONPOLY, (0, 1)),
+    "GF4-n2-k0": (2, 2, 2, 0, ext_field(2, 2), ()),
+}
+
+
+def _random_word(code, rng):
+    if code.repr == "matrix":
+        rows = tuple(tuple(rng.randrange(code.q) for _ in range(code.m)) for _ in range(code.n))
+        return MatrixWord(rows, code.field)
+    return VectorWord(tuple(rng.randrange(code.ext.order) for _ in range(code.n)), code.ext)
+
+
+def _random_code(q, n, m, k, ext, rng):
+    """k independent uniform words over the linearity field."""
+    F = field_from_q(q)
+    L, D = (F, n * m) if ext is None else (ext, n)
+    rows = []
+    while len(rows) < k:
+        v = [rng.randrange(L.order) for _ in range(D)]
+        if linalg.is_independent(L, rows + [v]):
+            rows.append(v)
+    if ext is None:
+        return LinearCode.from_matrix_words([MatrixWord.from_flat(v, F, n, m) for v in rows], F, n, m)
+    return LinearCode.from_vector_words([VectorWord(tuple(v), ext) for v in rows], ext, n)
+
+
+def _check_routes_agree(case, monkeypatch):
+    """At every radius list_size_at equals the code scan, and takes the ball
+    scan exactly at ``ball_radii``; the ball scan spelled out (enumerate the
+    ball, test membership) equals the code scan at the other radii too."""
+    *params, ball_radii = case
     rng = random.Random(31)
-    centers = [
-        MatrixWord(tuple(tuple(rng.randrange(2) for _ in range(2)) for _ in range(2)), F2)
-        for _ in range(8)
-    ]
-    words = [MatrixWord(((1, 1), (0, 0)), F2), MatrixWord(((0, 0), (1, 1)), F2)]
-    code = LinearCode.from_matrix_words(words, F2, 2, 2)
+    code = _random_code(*params, rng)
+    spans = []
+
+    def spy(spec):
+        spans.append(spec)
+        return enumerate_ball(spec)
+
+    monkeypatch.setattr(experiments, "enumerate_ball", spy)
+    words = list(code.iter_words())
+    centers = [_random_word(code, rng) for _ in range(3)] + [rng.choice(words)]
     for c in centers:
-        for r in range(3):
-            by_code = sum(1 for w in code.iter_words() if rank_distance(c, w) <= r)
+        ball_center = vec_to_mat(c) if code.repr == "vector" else c
+        for r in range(code.n + 1):
+            by_code = sum(1 for w in words if rank_distance(c, w) <= r)
+            spans.clear()
             assert list_size_at(code, c, r) == by_code
+            assert (len(words) > ball_size_exact(code.n, code.m, code.q, r)) == (r in ball_radii)
+            assert bool(spans) == (r in ball_radii)
+            by_ball = sum(1 for w in enumerate_ball(BallSpec(ball_center, r)) if code.contains(w))
+            assert by_ball == by_code
 
 
-def test_list_size_vector_repr():
-    E = ext_field(2, 2)
-    code = LinearCode.from_vector_words([VectorWord((1, 1), E)], E, 2)
-    center = VectorWord((0, 0), E)
-    assert list_size_at(code, center, 2) == 4
-    by_hand = sum(1 for w in code.iter_words() if rank_distance(center, w) <= 1)
-    assert list_size_at(code, center, 1) == by_hand
+@pytest.mark.parametrize("case", MATRIX_CASES.values(), ids=MATRIX_CASES.keys())
+def test_list_size_routes_agree(case, monkeypatch):
+    _check_routes_agree(case, monkeypatch)
+
+
+@pytest.mark.parametrize("case", VECTOR_CASES.values(), ids=VECTOR_CASES.keys())
+def test_list_size_vector_repr(case, monkeypatch):
+    _check_routes_agree(case, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "case", [*MATRIX_CASES.values(), *VECTOR_CASES.values()], ids=[*MATRIX_CASES, *VECTOR_CASES]
+)
+def test_contains_matches_solve_in_span(case):
+    *params, _ = case
+    rng = random.Random(37)
+    code = _random_code(*params, rng)
+    L = code.lin_field()
+    words = list(code.iter_words())
+    inside = [rng.choice(words) for _ in range(20)]
+    outside = [_random_word(code, rng) for _ in range(40)]
+    for w in inside + outside:
+        target = list(w.flatten()) if code.repr == "matrix" else list(w.coords)
+        expected = linalg.solve_in_span(L, code.flat_basis(), target) is not None
+        assert code.contains(w) == expected
+        if code.repr == "vector":
+            assert code.contains(vec_to_mat(w)) == expected
+    assert all(code.contains(w) for w in inside)
+    with pytest.raises(ParamError):
+        code.contains(MatrixWord.zero(code.field, code.n, code.m + 1))
 
 
 def test_experiment_config_validation():
