@@ -7,7 +7,7 @@ list-decodability properties against brute-force oracles at desk scale.
 """
 
 from .balls import BallSpec, ball_size_exact, check_gb_bounds, gaussian_binomial
-from .construct import construct_fq_so_basis, construct_fqm_so_basis, sample_code_star, so_code
+from .construct import sample_code_star, so_code
 from .errors import BudgetError, FormatError, ParamError, SizeError, ToolkitError
 from .fields import ExtField, Field, ext_field, field_from_q, find_self_dual_basis
 from .quadforms import QuadraticForm, count_roots_brute, count_roots_formula, rank_of_form, sample_root
@@ -15,7 +15,7 @@ from .words import (
     LinearCode,
     MatrixWord,
     VectorWord,
-    delsarte_dual,
+    dual,
     dump_code,
     is_self_orthogonal,
     load_code,
@@ -23,7 +23,6 @@ from .words import (
     rank_distance,
     trace_inner_product,
     vec_to_mat,
-    vector_dual,
     vector_inner_product,
 )
 
@@ -44,11 +43,9 @@ __all__ = [
     "VectorWord",
     "ball_size_exact",
     "check_gb_bounds",
-    "construct_fq_so_basis",
-    "construct_fqm_so_basis",
     "count_roots_brute",
     "count_roots_formula",
-    "delsarte_dual",
+    "dual",
     "dump_code",
     "ext_field",
     "field_from_q",
@@ -64,6 +61,5 @@ __all__ = [
     "so_code",
     "trace_inner_product",
     "vec_to_mat",
-    "vector_dual",
     "vector_inner_product",
 ]

@@ -70,12 +70,9 @@ def _log(msg):
 
 
 def _cmd_construct(args, out):
+    ext = ext_field(args.q, args.m) if args.repr == "vector" else None
     field = field_from_q(args.q)
-    rng = random.Random(args.seed)
-    if args.repr == "matrix":
-        code = construct.so_code(field, args.n, args.m, args.k, rng)
-    else:
-        code = construct.so_code(field, args.n, args.m, args.k, rng, repr="vector", ext=ext_field(args.q, args.m))
+    code = construct.so_code(field, args.n, args.m, args.k, random.Random(args.seed), repr=args.repr, ext=ext)
     out.write(words.dump_code(code))
     return 0
 

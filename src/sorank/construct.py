@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import linalg
 from .errors import BudgetError, ParamError
 from .quadforms import QuadraticForm, _index_pairs, sample_root, sum_of_squares
-from .words import LinearCode, MatrixWord, VectorWord
+from .words import LinearCode, flat_space
 
 STEP_BUDGET = 10_000
 # Root sampling inside the construction uses a small exhaustive cutoff;
@@ -28,107 +28,63 @@ def max_so_dimension(D: int) -> int:
     return (D - 1) // 2
 
 
-def _dot(F, u, v):
-    add, mul = F.add, F.mul
-    s = 0
-    for a, b in zip(u, v):
-        if a and b:
-            s = add(s, mul(a, b))
-    return s
-
-
 def _restricted_form(F, null_basis):
     """Sum-of-squares pulled back along y -> sum y_t * null_basis[t]."""
     d = len(null_basis)
-    gram = [[_dot(F, null_basis[s], null_basis[t]) for t in range(d)] for s in range(d)]
+    gram = [[linalg.dot(F, null_basis[s], null_basis[t]) for t in range(d)] for s in range(d)]
     coeffs = []
     for i, j in _index_pairs(d):
         coeffs.append(gram[i][i] if i == j else F.add(gram[i][j], gram[j][i]))
     return QuadraticForm(d, tuple(coeffs), F)
 
 
-def so_flat_vectors(F, D, k, rng, budget=STEP_BUDGET):
+def so_flat_vectors(F, D, k, rng):
     """k pairwise- and self-orthogonal independent vectors in F^D."""
     if not 1 <= k <= max_so_dimension(D):
         raise ParamError(f"k={k} outside 1..{max_so_dimension(D)} for ambient dimension {D}")
-    found = []
-    for step in range(1, k + 1):
-        if not found:
-            form = sum_of_squares(F, D)
-            for attempt in range(budget):
-                x = sample_root(form, rng, nonzero=True, exhaustive_limit=_ROOT_EXHAUSTIVE_LIMIT)
-                found.append(list(x))
-                break
-            else:  # pragma: no cover
-                raise BudgetError(f"step 1 budget exhausted (D={D})")
-            continue
+    form = sum_of_squares(F, D)
+    found = [list(sample_root(form, rng, nonzero=True, exhaustive_limit=_ROOT_EXHAUSTIVE_LIMIT))]
+    for step in range(2, k + 1):
         null_basis = linalg.nullspace(F, found)
         g = _restricted_form(F, null_basis)
-        add, mul = F.add, F.mul
-        accepted = False
-        for attempt in range(budget):
+        for _ in range(STEP_BUDGET):
             y = sample_root(g, rng, nonzero=True, exhaustive_limit=_ROOT_EXHAUSTIVE_LIMIT)
-            x = [0] * D
-            for c, v in zip(y, null_basis):
-                if c:
-                    for idx in range(D):
-                        if v[idx]:
-                            x[idx] = add(x[idx], mul(c, v[idx]))
+            x = linalg.combine(F, y, null_basis)
             # Explicit span rejection: the counting argument is asymptotic
             # and collisions do occur at tiny parameters.
             if linalg.solve_in_span(F, found, x) is None:
                 found.append(x)
-                accepted = True
                 break
-        if not accepted:
+        else:
             raise BudgetError(
-                f"step {step} budget {budget} exhausted (D={D}, k={k}); rerun with the same seed to reproduce"
+                f"step {step} budget {STEP_BUDGET} exhausted (D={D}, k={k}); rerun with the same seed to reproduce"
             )
     return found
 
 
-def construct_fq_so_basis(field, n, m, k, rng, budget=STEP_BUDGET):
-    """Self-orthogonal GF(q)-basis of k matrix words in F_q^{n x m}."""
-    vecs = so_flat_vectors(field, n * m, k, rng, budget)
-    return [MatrixWord.from_flat(v, field, n, m) for v in vecs]
-
-
-def construct_fqm_so_basis(ext, n, k, rng, budget=STEP_BUDGET):
-    """Self-orthogonal GF(q^m)-basis of k vector words in F_{q^m}^n."""
-    vecs = so_flat_vectors(ext, n, k, rng, budget)
-    return [VectorWord(tuple(v), ext) for v in vecs]
-
-
-def so_code(field, n, m, k, rng, repr="matrix", ext=None, budget=STEP_BUDGET) -> LinearCode:
+def so_code(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
     """A k-dimensional self-orthogonal code (k = 0 gives the zero code)."""
-    if k == 0:
-        if repr == "matrix":
-            return LinearCode.from_matrix_words([], field, n, m)
-        return LinearCode.from_vector_words([], ext, n)
-    if repr == "matrix":
-        words = construct_fq_so_basis(field, n, m, k, rng, budget)
-        return LinearCode.from_matrix_words(words, field, n, m)
-    words = construct_fqm_so_basis(ext, n, k, rng, budget)
-    return LinearCode.from_vector_words(words, ext, n)
+    F, D = flat_space(repr, field, ext, n, m)
+    rows = so_flat_vectors(F, D, k, rng) if k else []
+    return LinearCode.from_rows(rows, field, n, m, repr, ext)
 
 
-def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None, budget=STEP_BUDGET) -> LinearCode:
+def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
     """A k-dimensional code containing a (k-1)-dimensional self-orthogonal subcode.
 
     Ensemble behind the containment-probability experiments: build the
     self-orthogonal part, then adjoin one uniformly random word outside
     its span.
     """
-    D = n * m if repr == "matrix" else n
-    F = field if repr == "matrix" else ext
+    F, D = flat_space(repr, field, ext, n, m)
     if k < 1:
         raise ParamError("k must be >= 1")
     if 2 * k > D:
         raise ParamError(f"k={k} exceeds half the ambient dimension {D}")
     if k >= 2 and k - 1 > max_so_dimension(D):
         raise ParamError(f"k-1={k - 1} exceeds the construction limit {max_so_dimension(D)}")
-    base = so_flat_vectors(F, D, k - 1, rng, budget) if k >= 2 else []
-    for _ in range(budget):
+    base = so_flat_vectors(F, D, k - 1, rng) if k >= 2 else []
+    for _ in range(STEP_BUDGET):
         x = [rng.randrange(F.order) for _ in range(D)]
         if not any(x):
             continue
@@ -137,8 +93,4 @@ def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None, budget=STEP_B
             break
     else:  # pragma: no cover
         raise BudgetError("could not extend the self-orthogonal part")
-    if repr == "matrix":
-        words = [MatrixWord.from_flat(v, field, n, m) for v in base]
-        return LinearCode.from_matrix_words(words, field, n, m)
-    words = [VectorWord(tuple(v), ext) for v in base]
-    return LinearCode.from_vector_words(words, ext, n)
+    return LinearCode.from_rows(base, field, n, m, repr, ext)

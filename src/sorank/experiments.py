@@ -24,6 +24,7 @@ from .words import (
     LinearCode,
     MatrixWord,
     VectorWord,
+    flat_space,
     is_self_orthogonal,
     rank_distance,
     vec_to_mat,
@@ -44,16 +45,16 @@ def gv_rate(tau, rho, epsilon):
     return (1 - tau) * (1 - rho * tau) - epsilon
 
 
-def dimension_from_rate(R, q, n, m, repr="matrix"):
-    """k = floor(R * mn) (matrix) or floor(R * n) (vector), clamped to the
+def dimension_from_rate(R, n, m, repr="matrix"):
+    """k = floor(R * D) for the flat width D (mn or n), clamped to the
     self-orthogonal construction limit."""
     if not 0 <= R <= 0.5:
         raise ParamError("rate must lie in [0, 1/2] for self-orthogonal codes")
-    if repr == "matrix":
-        k = int(math.floor(R * m * n))
-        return min(k, max_so_dimension(n * m))
-    k = int(math.floor(R * n))
-    return min(k, max_so_dimension(n))
+    D = flat_space(repr, None, None, n, m)[1]
+    # R * (D // n) * n is R * m * n for matrix codes and R * n for vector
+    # codes; R * D would round differently and move k at some parameters.
+    k = int(math.floor(R * (D // n) * n))
+    return min(k, max_so_dimension(D))
 
 
 # -- deterministic per-trial RNG streams ------------------------------------
@@ -131,7 +132,7 @@ class ExperimentConfig:
         return self.n / self.m
 
     def dimension(self):
-        return dimension_from_rate(gv_rate(self.tau, self.rho, self.epsilon), self.q, self.n, self.m, self.repr)
+        return dimension_from_rate(gv_rate(self.tau, self.rho, self.epsilon), self.n, self.m, self.repr)
 
     def as_dict(self):
         return {
@@ -168,10 +169,6 @@ class ExperimentReport:
             h[s] = h.get(s, 0) + 1
         return dict(sorted(h.items()))
 
-    def exceeds_flag(self, M):
-        """Flag (not fail): empirical max above ceil(M / epsilon)."""
-        return self.max_list_size > math.ceil(M / self.config.epsilon)
-
     def summary_dict(self):
         return {
             "config": self.config.as_dict(),
@@ -207,18 +204,13 @@ def _draw_code(cfg: ExperimentConfig, k, rng):
     if cfg.ensemble == "code-star":
         return sample_code_star(field, cfg.n, cfg.m, max(k, 1), rng, repr=cfg.repr, ext=ext)
     # uniform-linear: k independent uniform words
-    D = cfg.n * cfg.m if cfg.repr == "matrix" else cfg.n
-    F = field if cfg.repr == "matrix" else ext
+    F, D = flat_space(cfg.repr, field, ext, cfg.n, cfg.m)
     rows = []
     while len(rows) < k:
         v = [rng.randrange(F.order) for _ in range(D)]
         if linalg.solve_in_span(F, rows, v) is None:
             rows.append(v)
-    if cfg.repr == "matrix":
-        words = [MatrixWord.from_flat(v, field, cfg.n, cfg.m) for v in rows]
-        return LinearCode.from_matrix_words(words, field, cfg.n, cfg.m)
-    words = [VectorWord(tuple(v), ext) for v in rows]
-    return LinearCode.from_vector_words(words, ext, cfg.n)
+    return LinearCode.from_rows(rows, field, cfg.n, cfg.m, cfg.repr, ext)
 
 
 def _uniform_center(cfg: ExperimentConfig, rng):
@@ -278,19 +270,11 @@ class EventEstimate:
 def span_ball_overlap(words, radius):
     """|span{X_1..X_l} cap B_R(0, radius)| by enumerating the span."""
     field = words[0].field
-    q = field.order
     flats = [w.flatten() for w in words]
-    D = len(flats[0])
-    add, mul = field.add, field.mul
-    seen = set()
-    for coeffs in itertools.product(range(q), repeat=len(flats)):
-        v = [0] * D
-        for c, f in zip(coeffs, flats):
-            if c:
-                for i in range(D):
-                    if f[i]:
-                        v[i] = add(v[i], mul(c, f[i]))
-        seen.add(tuple(v))
+    seen = {
+        tuple(linalg.combine(field, coeffs, flats))
+        for coeffs in itertools.product(range(field.order), repeat=len(flats))
+    }
     n, m = words[0].n, words[0].m
     count = 0
     for v in seen:

@@ -210,7 +210,7 @@ class _PackedField:
         order = self.order
         o1 = order - 1
         g = self._find_primitive()
-        exp = [0] * (2 * o1 if o1 else 1)
+        exp = [0] * (2 * o1)
         log = [0] * order
         x = 1
         for i in range(o1):
@@ -218,8 +218,6 @@ class _PackedField:
             exp[i + o1] = x
             log[x] = i
             x = self._raw_mul(x, g)
-        if o1 == 0:  # pragma: no cover - GF(1) impossible
-            raise ParamError("degenerate field")
         self._exp = exp
         self._log = log
         self.generator = g
@@ -293,9 +291,6 @@ class _PackedField:
     def to_digits(self, x):
         return _digits(x, self.scalar.order, self.deg)
 
-    def from_digits(self, ds):
-        return _undigits(list(ds), self.scalar.order)
-
 
 class Field(_PackedField):
     """GF(p^e) for prime p, elements encoded as ints in [0, p^e)."""
@@ -340,12 +335,6 @@ class ExtField(_PackedField):
         rows = [self.to_digits(b) for b in basis]
         return linalg.rank(self.base, rows) == self.m
 
-    def embed(self, c):
-        """Embed a GF(q) element as the constant it encodes."""
-        if not 0 <= c < self.q:
-            raise ParamError("not a base-field element")
-        return c
-
     def frobenius(self, x, i=1):
         """x ** (q ** (i mod m)) by repeated q-th powering."""
         for _ in range(i % self.m):
@@ -359,9 +348,9 @@ class ExtField(_PackedField):
         for _ in range(self.m):
             s = self.add(s, y)
             y = self.pow(y, self.q)
-        ds = self.to_digits(s)
-        assert all(d == 0 for d in ds[1:]), "trace left the base field"
-        return ds[0]
+        if s >= self.q:  # encodes a non-constant polynomial
+            raise ParamError(f"trace of {x!r} left the base field of {self!r}")
+        return s
 
     def _coords_inverse(self, basis):
         Minv = self._coords_inv_cache.get(basis)
@@ -374,25 +363,12 @@ class ExtField(_PackedField):
     def coords(self, x, basis=None):
         """Expansion of x over the given (default: attached) basis."""
         basis = self.basis if basis is None else tuple(basis)
-        Minv = self._coords_inverse(basis)
         ds = self.to_digits(x)
-        badd, bmul = self.base.add, self.base.mul
-        out = []
-        for row in Minv:
-            s = 0
-            for c, d in zip(row, ds):
-                if c and d:
-                    s = badd(s, bmul(c, d))
-            out.append(s)
-        return tuple(out)
+        return tuple(linalg.dot(self.base, row, ds) for row in self._coords_inverse(basis))
 
     def from_coords(self, cs, basis=None):
         basis = self.basis if basis is None else tuple(basis)
-        s = 0
-        for c, b in zip(cs, basis):
-            if c:
-                s = self.add(s, self.mul(c, b))
-        return s
+        return linalg.dot(self, cs, basis)
 
     def gram(self, basis=None):
         """Trace Gram matrix [tr(b_i b_j)] over GF(q)."""
@@ -403,14 +379,7 @@ class ExtField(_PackedField):
         """Trace-dual basis: tr(b_i b*_j) is the Kronecker delta."""
         basis = self.basis if basis is None else tuple(basis)
         Ginv = linalg.invert_matrix(self.base, self.gram(basis))
-        out = []
-        for row in Ginv:
-            s = 0
-            for c, b in zip(row, basis):
-                if c:
-                    s = self.add(s, self.mul(c, b))
-            out.append(s)
-        return tuple(out)
+        return tuple(linalg.dot(self, row, basis) for row in Ginv)
 
     def is_self_dual_basis(self, basis=None):
         basis = self.basis if basis is None else tuple(basis)
@@ -488,20 +457,3 @@ def ext_field(q, m):
     """GF(q^m) over GF(q), deterministic moduli, polynomial basis."""
     return ExtField(field_from_q(q), m)
 
-
-def field_header(f: Field) -> str:
-    mod = ",".join(str(c) for c in reversed(f.modulus))
-    return f"q={f.p}^{f.e} modulus={mod}"
-
-
-def parse_field_header(line: str) -> Field:
-    from .errors import FormatError
-
-    try:
-        parts = dict(tok.split("=", 1) for tok in line.split())
-        p_s, e_s = parts["q"].split("^")
-        mod = [int(c) for c in parts["modulus"].split(",")]
-        mod.reverse()
-        return Field(int(p_s), int(e_s), mod)
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad field header: {line!r}") from exc

@@ -9,6 +9,28 @@ desk-scale sizes this toolkit works at make asymptotics irrelevant.
 from __future__ import annotations
 
 
+def dot(F, u, v):
+    """sum_i u_i v_i over F, for equal-length sequences."""
+    add, mul = F.add, F.mul
+    s = 0
+    for a, b in zip(u, v):
+        if a and b:
+            s = add(s, mul(a, b))
+    return s
+
+
+def combine(F, coeffs, rows):
+    """sum_i coeffs[i] * rows[i] over F, as a new list; needs at least one row."""
+    add, mul = F.add, F.mul
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, v in enumerate(row):
+                if v:
+                    out[j] = add(out[j], mul(c, v))
+    return out
+
+
 def rref(F, rows):
     """Reduced row-echelon form.
 
@@ -137,21 +159,3 @@ def invert_matrix(F, rows):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [R[i][n:] for i in range(n)]
-
-
-def mat_mul(F, A, B):
-    add, mul = F.add, F.mul
-    n, k = len(A), len(B)
-    m = len(B[0]) if k else 0
-    out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            s = 0
-            for t in range(k):
-                if Ai[t] and B[t][j]:
-                    s = add(s, mul(Ai[t], B[t][j]))
-            row.append(s)
-        out.append(row)
-    return out

@@ -207,7 +207,3 @@ def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT,
             return x
     raise BudgetError(f"root sampling budget {budget} exhausted")
 
-
-def serialize_form(f: QuadraticForm) -> str:
-    head = f"N={f.nvars} field={f.field.order}"
-    return head + "\n" + " ".join(str(c) for c in f.coeffs) + "\n"

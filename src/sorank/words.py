@@ -10,6 +10,7 @@ pairwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -54,6 +55,8 @@ class MatrixWord:
 
     @classmethod
     def from_flat(cls, flat, field, n, m):
+        if len(flat) != n * m:
+            raise ParamError(f"flat word of length {len(flat)} for a {n} x {m} matrix")
         rows = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
         return cls(rows, field)
 
@@ -80,92 +83,47 @@ class VectorWord:
     def n(self):
         return len(self.coords)
 
-
-def word_add(a, b):
-    if isinstance(a, MatrixWord):
-        F = a.field
-        rows = tuple(
-            tuple(F.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries)
-        )
-        return MatrixWord(rows, F)
-    F = a.field
-    return VectorWord(tuple(F.add(x, y) for x, y in zip(a.coords, b.coords)), F)
+    def flatten(self):
+        return self.coords
 
 
-def word_scale(c, a):
-    """Scale by c in the linearity field (GF(q) resp. GF(q^m))."""
-    F = a.field
-    if isinstance(a, MatrixWord):
-        rows = tuple(tuple(F.mul(c, x) for x in row) for row in a.entries)
-        return MatrixWord(rows, F)
-    return VectorWord(tuple(F.mul(c, x) for x in a.coords), F)
-
-
-def coords_rows(x: VectorWord):
-    """Polynomial-basis coordinate matrix of a vector word (n x m over GF(q))."""
-    ext = x.field
-    return [list(ext.to_digits(c)) for c in x.coords]
+def _base_rows(w):
+    """(GF(q), rows of an n x m matrix over GF(q) with the rank of w).  A
+    vector word's coordinates give their polynomial-basis digits: cheaper
+    than ``vec_to_mat``'s expansion, and rank does not depend on the basis."""
+    if isinstance(w, MatrixWord):
+        return w.field, w.entries
+    ext = w.field
+    return ext.base, [ext.to_digits(c) for c in w.coords]
 
 
 def word_rank(w):
-    if isinstance(w, MatrixWord):
-        return linalg.rank(w.field, w.entries)
-    return linalg.rank(w.field.base, coords_rows(w))
+    return linalg.rank(*_base_rows(w))
 
 
 def rank_distance(X, Y):
     """rank(X - Y) over GF(q); also accepts vector words."""
     if isinstance(X, MatrixWord) != isinstance(Y, MatrixWord):
         raise ParamError("mixed representations")
-    if isinstance(X, MatrixWord):
-        if (X.n, X.m) != (Y.n, Y.m):
-            raise ParamError("dimension mismatch")
-        F = X.field
-        diff = [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(X.entries, Y.entries)]
-        return linalg.rank(F, diff)
-    if X.n != Y.n:
-        raise ParamError("length mismatch")
-    F = X.field
-    d = VectorWord(tuple(F.sub(a, b) for a, b in zip(X.coords, Y.coords)), F)
-    return word_rank(d)
-
-
-def _dot(F, xs, ys):
-    """sum x_i y_i over F, for equal-length sequences."""
-    add, mul = F.add, F.mul
-    s = 0
-    for a, b in zip(xs, ys):
-        if a and b:
-            s = add(s, mul(a, b))
-    return s
+    F, xs = _base_rows(X)
+    ys = _base_rows(Y)[1]
+    if (len(xs), len(xs[0])) != (len(ys), len(ys[0])):
+        raise ParamError("dimension mismatch")
+    return linalg.rank(F, [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(xs, ys)])
 
 
 def trace_inner_product(X: MatrixWord, Y: MatrixWord):
     """Tr(X Y^T) = sum of entrywise products, an element of GF(q)."""
     if (X.n, X.m) != (Y.n, Y.m):
         raise ParamError("dimension mismatch")
-    F = X.field
-    add, mul = F.add, F.mul
-    s = 0
-    for ra, rb in zip(X.entries, Y.entries):
-        for a, b in zip(ra, rb):
-            if a and b:
-                s = add(s, mul(a, b))
-    return s
+    return linalg.dot(X.field, X.flatten(), Y.flatten())
 
 
 def vector_inner_product(x: VectorWord, y: VectorWord):
     """<x, y> = sum x_i y_i in GF(q^m)."""
     if x.n != y.n:
         raise ParamError("length mismatch")
-    return _dot(x.field, x.coords, y.coords)
-
-
-def word_inner(a, b):
-    """Representation-appropriate inner product."""
-    if isinstance(a, MatrixWord):
-        return trace_inner_product(a, b)
-    return vector_inner_product(a, b)
+    return linalg.dot(x.field, x.coords, y.coords)
 
 
 def mat_to_vec(X: MatrixWord, ext: ExtField, basis=None) -> VectorWord:
@@ -195,13 +153,27 @@ def lemma1_pair_identity(a: VectorWord, b: VectorWord, basis):
     return lhs, rhs
 
 
+def flat_space(repr, field, ext, n, m):
+    """(F, D): a code in this representation is spanned by rows of length D
+    over F with the standard dot product.  'matrix' codes are GF(q)-linear
+    on row-major n x m matrices (F = field, D = nm); 'vector' codes are
+    GF(q^m)-linear on length-n vectors (F = ext, D = n)."""
+    if repr == "matrix":
+        return field, n * m
+    if repr == "vector":
+        return ext, n
+    raise ParamError(f"unknown representation {repr!r}")
+
+
 @dataclass(frozen=True)
 class LinearCode:
     """A code given by an explicit linearly independent basis of words.
 
     ``repr`` is 'matrix' (GF(q)-linear) or 'vector' (GF(q^m)-linear).
     ``k == 0`` is the zero code; the ambient (n, m) then comes from the
-    stored parameters.
+    stored parameters.  Code-level operations read the basis as flat
+    ``rows`` over ``lin_field()`` (see ``flat_space``); words are built only
+    for the basis and for what ``iter_words`` and ``dual`` return.
     """
 
     repr: str
@@ -212,20 +184,11 @@ class LinearCode:
     m: int = 0
 
     def __post_init__(self):
-        if self.repr not in ("matrix", "vector"):
-            raise ParamError(f"unknown representation {self.repr!r}")
-        if self.repr == "matrix":
-            if self.k > self.n * self.m:
-                raise ParamError("dimension exceeds nm")
-            rows = [list(w.flatten()) for w in self.basis]
-            if rows and not linalg.is_independent(self.field, rows):
-                raise ParamError("basis is linearly dependent over GF(q)")
-        else:
-            if self.k > self.n:
-                raise ParamError("dimension exceeds n")
-            rows = [list(w.coords) for w in self.basis]
-            if rows and not linalg.is_independent(self.ext, rows):
-                raise ParamError("basis is linearly dependent over GF(q^m)")
+        F, D = self._space
+        if self.k > D:
+            raise ParamError(f"dimension {self.k} exceeds {D}")
+        if self.rows and not linalg.is_independent(F, self.rows):
+            raise ParamError(f"basis is linearly dependent over {F!r}")
 
     @property
     def k(self):
@@ -251,35 +214,45 @@ class LinearCode:
                 raise ParamError("inconsistent word lengths")
         return cls("vector", words, ext.base, ext, n, ext.m)
 
+    @classmethod
+    def from_rows(cls, rows, field, n, m, repr="matrix", ext=None):
+        """The code with these independent basis rows (see ``flat_space``);
+        a vector code takes GF(q) and m from ``ext``."""
+        if repr == "vector":
+            return cls.from_vector_words([VectorWord(tuple(v), ext) for v in rows], ext, n)
+        return cls(repr, tuple(MatrixWord.from_flat(v, field, n, m) for v in rows), field, None, n, m)
+
+    @cached_property
+    def _space(self):
+        return flat_space(self.repr, self.field, self.ext, self.n, self.m)
+
+    @cached_property
+    def rows(self):
+        """The basis as flat rows over ``lin_field()``, each of length ``width``."""
+        return tuple(w.flatten() for w in self.basis)
+
+    @property
+    def width(self):
+        return self._space[1]
+
     def lin_field(self):
         """The field over which the code is linear."""
-        return self.field if self.repr == "matrix" else self.ext
+        return self._space[0]
 
-    def flat_basis(self):
+    def _word(self, row):
         if self.repr == "matrix":
-            return [list(w.flatten()) for w in self.basis]
-        return [list(w.coords) for w in self.basis]
+            return MatrixWord.from_flat(row, self.field, self.n, self.m)
+        return VectorWord(tuple(row), self.ext)
 
     def iter_words(self):
-        """All |F|^k codewords (desk scale only)."""
-        F = self.lin_field()
-        k = self.k
-        if k == 0:
-            yield self._zero_word()
+        """All |F|^k codewords (desk scale only), in ``itertools.product``
+        order of their basis coefficients."""
+        F, rows = self.lin_field(), self.rows
+        if not rows:
+            yield self._word([0] * self.width)
             return
-        import itertools
-
-        for coeffs in itertools.product(range(F.order), repeat=k):
-            w = self._zero_word()
-            for c, b in zip(coeffs, self.basis):
-                if c:
-                    w = word_add(w, word_scale(c, b))
-            yield w
-
-    def _zero_word(self):
-        if self.repr == "matrix":
-            return MatrixWord.zero(self.field, self.n, self.m)
-        return VectorWord((0,) * self.n, self.ext)
+        for coeffs in itertools.product(range(F.order), repeat=len(rows)):
+            yield self._word(linalg.combine(F, coeffs, rows))
 
     @cached_property
     def parity_check(self):
@@ -294,8 +267,7 @@ class LinearCode:
         [digit_t(h_i beta_j)]_ij.  This needs one elimination over GF(q^m)
         on n columns instead of one over GF(q) on nm columns.
         """
-        L = self.lin_field()
-        H = linalg.nullspace(L, self.flat_basis() or [[0] * self._width()])
+        H = linalg.nullspace(self.lin_field(), self.rows or [[0] * self.width])
         if self.repr == "matrix":
             return tuple(tuple(h) for h in H)
         ext = self.ext
@@ -306,76 +278,36 @@ class LinearCode:
         return tuple(rows)
 
     def contains(self, word):
-        """Membership by syndrome against ``parity_check``.  Takes a matrix
-        word in either representation; a vector word goes through
-        ``vec_to_mat`` first."""
-        if isinstance(word, VectorWord):
-            word = vec_to_mat(word)
-        if (word.n, word.m) != (self.n, self.m):
+        """Membership by syndrome against ``parity_check``.  Takes a word in
+        either representation; a vector word is read through its
+        attached-basis expansion, the matrix ``vec_to_mat`` gives."""
+        if isinstance(word, MatrixWord):
+            entries = word.entries
+        else:
+            entries = [word.field.coords(c) for c in word.coords]
+        if (len(entries), len(entries[0])) != (self.n, self.m):
             raise ParamError("dimension mismatch")
-        x = word.flatten()
+        x = [v for row in entries for v in row]
         F = self.field
-        return not any(_dot(F, h, x) for h in self.parity_check)
-
-    def canonical_key(self):
-        """RREF of the flattened basis; equal codes share this key."""
-        R, pivots = linalg.rref(self.lin_field(), self.flat_basis() or [[0] * self._width()])
-        return tuple(tuple(R[i]) for i in range(len(pivots)))
-
-    def _width(self):
-        return self.n * self.m if self.repr == "matrix" else self.n
-
-
-def codes_equal(c1: LinearCode, c2: LinearCode) -> bool:
-    return c1.repr == c2.repr and c1.canonical_key() == c2.canonical_key()
-
-
-def delsarte_dual(code: LinearCode) -> LinearCode:
-    """Dual under Tr(C X^T) = 0, via one nullspace computation."""
-    if code.repr != "matrix":
-        raise ParamError("delsarte_dual needs the matrix representation")
-    nm = code.n * code.m
-    eqs = code.flat_basis() or [[0] * nm]
-    ns = linalg.nullspace(code.field, eqs)
-    words = [MatrixWord.from_flat(v, code.field, code.n, code.m) for v in ns]
-    return LinearCode.from_matrix_words(words, code.field, code.n, code.m)
-
-
-def vector_dual(code: LinearCode) -> LinearCode:
-    """Dual under <g_i, x> = 0 over GF(q^m)."""
-    if code.repr != "vector":
-        raise ParamError("vector_dual needs the vector representation")
-    eqs = code.flat_basis() or [[0] * code.n]
-    ns = linalg.nullspace(code.ext, eqs)
-    words = [VectorWord(tuple(v), code.ext) for v in ns]
-    return LinearCode.from_vector_words(words, code.ext, code.n)
+        return not any(linalg.dot(F, h, x) for h in self.parity_check)
 
 
 def dual(code: LinearCode) -> LinearCode:
-    return delsarte_dual(code) if code.repr == "matrix" else vector_dual(code)
+    """Dual under the standard dot product over the linearity field:
+    Tr(C X^T) = 0 for matrix codes, <g, x> = 0 over GF(q^m) for vector codes."""
+    ns = linalg.nullspace(code.lin_field(), code.rows or [[0] * code.width])
+    return LinearCode.from_rows(ns, code.field, code.n, code.m, code.repr, code.ext)
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
     """True iff all basis pairs (including self-pairs) are orthogonal."""
-    b = code.basis
-    for i in range(len(b)):
-        for j in range(i, len(b)):
-            if word_inner(b[i], b[j]) != 0:
-                return False
-    return True
+    F, rows = code.lin_field(), code.rows
+    return not any(linalg.dot(F, rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows)))
 
 
 def is_contained_in_dual(code: LinearCode) -> bool:
     """C subseteq dual(C), with the dual computed by the linear-algebra path."""
-    d = dual(code)
-    return linalg.spans_contain(code.lin_field(), d.flat_basis(), code.flat_basis())
-
-
-def rate(code: LinearCode) -> float:
-    """log_q |C| / (mn)."""
-    if code.repr == "matrix":
-        return code.k / (code.n * code.m)
-    return code.k * code.m / (code.n * code.m)
+    return linalg.spans_contain(code.lin_field(), dual(code).rows, code.rows)
 
 
 # -- code file format --------------------------------------------------------
@@ -385,9 +317,7 @@ def rate(code: LinearCode) -> float:
 
 def dump_code(code: LinearCode) -> str:
     lines = [f"repr={code.repr} q={code.q} m={code.m} n={code.n} k={code.k}"]
-    for w in code.basis:
-        vals = w.flatten() if code.repr == "matrix" else w.coords
-        lines.append(" ".join(str(v) for v in vals))
+    lines += [" ".join(str(v) for v in row) for row in code.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -410,17 +340,8 @@ def load_code(text: str) -> LinearCode:
         rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
     except ValueError as exc:
         raise FormatError("non-integer entry in code file") from exc
-    if rep == "matrix":
-        words = []
-        for vals in rows:
-            if len(vals) != n * m:
-                raise FormatError("wrong entry count for matrix word")
-            words.append(MatrixWord.from_flat(vals, base, n, m))
-        return LinearCode.from_matrix_words(words, base, n, m)
-    ext = ext_field(q, m)
-    words = []
-    for vals in rows:
-        if len(vals) != n:
-            raise FormatError("wrong entry count for vector word")
-        words.append(VectorWord(tuple(vals), ext))
-    return LinearCode.from_vector_words(words, ext, n)
+    ext = ext_field(q, m) if rep == "vector" else None
+    D = flat_space(rep, base, ext, n, m)[1]
+    if any(len(vals) != D for vals in rows):
+        raise FormatError(f"wrong entry count for {rep} word")
+    return LinearCode.from_rows(rows, base, n, m, rep, ext)

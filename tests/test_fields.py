@@ -7,9 +7,7 @@ from sorank.fields import (
     Field,
     ext_field,
     field_from_q,
-    field_header,
     find_self_dual_basis,
-    parse_field_header,
     self_dual_basis_exists,
 )
 
@@ -139,9 +137,3 @@ def test_coords_roundtrip_and_nonstandard_basis():
     for x in E.elements():
         assert E.from_coords(E.coords(x, basis), basis) == x
 
-
-def test_field_header_roundtrip():
-    for q in (2, 4, 9, 25):
-        f = field_from_q(q)
-        g = parse_field_header(field_header(f))
-        assert (g.p, g.e, g.modulus) == (f.p, f.e, f.modulus)

@@ -73,7 +73,7 @@ def test_invert_matrix(F):
             continue
         done += 1
         Minv = linalg.invert_matrix(F, M)
-        prod = linalg.mat_mul(F, M, Minv)
+        prod = [[linalg.dot(F, row, col) for col in zip(*Minv)] for row in M]
         assert prod == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     with pytest.raises(ValueError):
         linalg.invert_matrix(F, [[0, 0], [0, 0]])

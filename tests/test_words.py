@@ -2,14 +2,14 @@ import random
 
 import pytest
 
+from sorank import linalg
 from sorank.errors import FormatError, ParamError
 from sorank.fields import ext_field, field_from_q, find_self_dual_basis
 from sorank.words import (
     LinearCode,
     MatrixWord,
     VectorWord,
-    codes_equal,
-    delsarte_dual,
+    dual,
     dump_code,
     is_contained_in_dual,
     is_self_orthogonal,
@@ -19,11 +19,8 @@ from sorank.words import (
     rank_distance,
     trace_inner_product,
     vec_to_mat,
-    vector_dual,
     vector_inner_product,
-    word_add,
     word_rank,
-    word_scale,
 )
 
 F2 = field_from_q(2)
@@ -36,6 +33,17 @@ def _mw(rows, field=F2):
 
 def _random_mw(field, n, m, rng):
     return MatrixWord(tuple(tuple(rng.randrange(field.order) for _ in range(m)) for _ in range(n)), field)
+
+
+def _same_code(a, b):
+    """Equal codes: same representation and dimension, each span inside the other."""
+    F = a.lin_field()
+    return (
+        a.repr == b.repr
+        and a.k == b.k
+        and linalg.spans_contain(F, a.rows, b.rows)
+        and linalg.spans_contain(F, b.rows, a.rows)
+    )
 
 
 def test_rank_distance_examples():
@@ -82,12 +90,14 @@ def test_bilinearity_of_inner_products():
     for _ in range(500):
         a, b = rng.randrange(3), rng.randrange(3)
         X, Y, Z = (_random_mw(F3, 2, 2, rng) for _ in range(3))
-        lhs = trace_inner_product(word_add(word_scale(a, X), word_scale(b, Y)), Z)
+        aXbY = MatrixWord.from_flat(linalg.combine(F3, (a, b), (X.flatten(), Y.flatten())), F3, 2, 2)
+        lhs = trace_inner_product(aXbY, Z)
         rhs = F3.add(F3.mul(a, trace_inner_product(X, Z)), F3.mul(b, trace_inner_product(Y, Z)))
         assert lhs == rhs
         c, d = rng.randrange(9), rng.randrange(9)
         u, v, t = (VectorWord(tuple(rng.randrange(9) for _ in range(2)), E) for _ in range(3))
-        lhs = vector_inner_product(word_add(word_scale(c, u), word_scale(d, v)), t)
+        cudv = VectorWord(tuple(linalg.combine(E, (c, d), (u.coords, v.coords))), E)
+        lhs = vector_inner_product(cudv, t)
         rhs = E.add(E.mul(c, vector_inner_product(u, t)), E.mul(d, vector_inner_product(v, t)))
         assert lhs == rhs
 
@@ -115,12 +125,12 @@ def test_mat_to_vec_examples():
 
 def test_delsarte_dual_examples():
     zero_code = LinearCode.from_matrix_words([], F2, 2, 2)
-    assert delsarte_dual(zero_code).k == 4
-    full = delsarte_dual(zero_code)
-    assert delsarte_dual(full).k == 0
+    assert dual(zero_code).k == 4
+    full = dual(zero_code)
+    assert full.repr == "matrix" and dual(full).k == 0
     gen = _mw([[1, 1], [0, 0]])
     C = LinearCode.from_matrix_words([gen], F2, 2, 2)
-    D = delsarte_dual(C)
+    D = dual(C)
     assert D.k == 3
     assert D.contains(gen)
 
@@ -128,11 +138,12 @@ def test_delsarte_dual_examples():
 def test_vector_dual_examples():
     E4 = ext_field(2, 2)
     C = LinearCode.from_vector_words([VectorWord((1, 1), E4)], E4, 2)
-    D = vector_dual(C)
+    D = dual(C)
+    assert D.repr == "vector" and D.ext is E4
     assert D.k == 1 and D.contains(VectorWord((1, 1), E4))
     E9 = ext_field(3, 2)
     C = LinearCode.from_vector_words([VectorWord((1, 2), E9)], E9, 2)
-    D = vector_dual(C)
+    D = dual(C)
     assert D.k == 1 and D.contains(VectorWord((1, 1), E9))
 
 
@@ -155,7 +166,7 @@ def test_dual_dimension_and_involution(repr_):
                 rows = cand
             return LinearCode.from_matrix_words(rows, F2, 2, 3)
 
-        dual_fn, total = delsarte_dual, 6
+        total = 6
     else:
         E = ext_field(3, 2)
 
@@ -169,12 +180,29 @@ def test_dual_dimension_and_involution(repr_):
                     continue
             return LinearCode.from_vector_words(rows, E, 4)
 
-        dual_fn, total = vector_dual, 4
+        total = 4
     for k in range(total + 1):
         C = make(k)
-        D = dual_fn(C)
+        D = dual(C)
         assert C.k + D.k == total
-        assert codes_equal(dual_fn(D), C)
+        assert _same_code(dual(D), C)
+
+
+def test_from_rows_matches_word_constructors():
+    rows = [(1, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 1)]
+    C = LinearCode.from_rows(rows, F2, 2, 3)
+    assert C == LinearCode.from_matrix_words([MatrixWord.from_flat(r, F2, 2, 3) for r in rows], F2, 2, 3)
+    assert C.rows == tuple(rows) and C.width == 6 and C.lin_field() is F2
+    E = ext_field(2, 2)
+    V = LinearCode.from_rows([(1, 2, 3)], F2, 3, 2, repr="vector", ext=E)
+    assert V == LinearCode.from_vector_words([VectorWord((1, 2, 3), E)], E, 3)
+    assert V.rows == ((1, 2, 3),) and V.width == 3 and V.lin_field() is E
+    with pytest.raises(ParamError):
+        LinearCode.from_rows([(1, 0, 1, 1, 0, 0, 1)], F2, 2, 3)  # one entry too many
+    with pytest.raises(ParamError):
+        LinearCode.from_rows(rows, F2, 2, 3, repr="weird")
+    with pytest.raises(ParamError):
+        LinearCode.from_rows([rows[0], rows[0]], F2, 2, 3)  # dependent
 
 
 def test_is_self_orthogonal_examples():
@@ -230,10 +258,10 @@ def test_code_file_roundtrip():
         except ParamError:
             continue
     C = LinearCode.from_matrix_words(words, F3, 2, 3)
-    assert codes_equal(load_code(dump_code(C)), C)
+    assert _same_code(load_code(dump_code(C)), C)
     E = ext_field(2, 3)
     V = LinearCode.from_vector_words([VectorWord((1, 2, 4), E)], E, 3)
-    assert codes_equal(load_code(dump_code(V)), V)
+    assert _same_code(load_code(dump_code(V)), V)
 
 
 def test_code_file_errors():
