@@ -57,7 +57,7 @@ def _build_parser():
     s = sub.add_parser("selfdual-basis", help="find a self-dual basis of GF(q^m)")
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, help="ignored: the basis is deterministic")
 
     e = sub.add_parser("experiment", help="run a seeded list-size experiment")
     e.add_argument("--config", required=True, help="key=value config file")
@@ -131,7 +131,7 @@ def _cmd_roots(args, out):
 
 def _cmd_selfdual_basis(args, out):
     ext = ext_field(args.q, args.m)
-    basis = find_self_dual_basis(ext, random.Random(args.seed))
+    basis = find_self_dual_basis(ext)
     if basis is None:
         out.write("absent\n")
     else:

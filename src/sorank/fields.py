@@ -14,11 +14,10 @@ larger.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 from . import linalg
-from .errors import BudgetError, ParamError
+from .errors import ParamError
 
 _MAX_ORDER = 1 << 20
 _ADD_TABLE_LIMIT = 512
@@ -392,48 +391,33 @@ def self_dual_basis_exists(q, m):
     return q % 2 == 0 or m % 2 == 1
 
 
-def find_self_dual_basis(ext: ExtField, rng=None, budget=100_000):
+def find_self_dual_basis(ext: ExtField):
     """A basis equal to its trace dual, or None when none exists.
 
-    Randomized search first; for field order <= 4096 a deterministic
-    backtracking sweep guarantees an answer.  Raises BudgetError only when
-    a basis must exist but the randomized budget ran out and the field is
-    too large for the sweep.
+    Greedy scan of y = 1, 2, ... (Seroussi and Lempel, 1980): keep y when
+    tr(y^2) = 1, tr(y c) = 0 for each kept c and, in characteristic 2, the
+    kept sum plus y is 1 exactly when y would be the m-th element.  Kept
+    elements are orthonormal, hence independent.  No backtracking is needed.
+    In characteristic 2, Tr(x^2) = Tr(x)^2 makes a self-dual basis sum to 1;
+    the sum rule forbids a partial set summing to 1, whose alternating
+    complement has no unit vector.  For odd q and m the complement's
+    discriminant stays a square, so it has a unit vector.  An element usable
+    now was kept when the scan passed it, so all usable ones lie ahead.
     """
-    q, m = ext.q, ext.m
-    if not self_dual_basis_exists(q, m):
+    if not self_dual_basis_exists(ext.q, ext.m):
         return None
-    rng = random.Random(0) if rng is None else rng
-    order = ext.order
-    for _ in range(budget):
-        cand = tuple(rng.randrange(1, order) for _ in range(m))
-        if ext.is_self_dual_basis(cand) and ext._basis_independent(cand):
-            return cand
-    if order <= 4096:
-        found = _self_dual_backtrack(ext)
-        if found is not None:
-            return found
-    raise BudgetError(f"self-dual basis search budget exhausted for GF({q}^{m})")
-
-
-def _self_dual_backtrack(ext):
-    unit_sq = [x for x in range(1, ext.order) if ext.trace(ext.mul(x, x)) == 1]
-
-    def rec(chosen, rows):
-        if len(chosen) == ext.m:
-            return tuple(chosen)
-        for x in unit_sq:
-            if any(ext.trace(ext.mul(x, c)) != 0 for c in chosen):
-                continue
-            new_rows = rows + [ext.to_digits(x)]
-            if linalg.rank(ext.base, new_rows) != len(new_rows):
-                continue
-            r = rec(chosen + [x], new_rows)
-            if r is not None:
-                return r
-        return None
-
-    return rec([], [])
+    char2 = ext.q % 2 == 0
+    kept = []
+    total = 0
+    for y in range(1, ext.order):
+        if char2 and (ext.add(total, y) == 1) != (len(kept) == ext.m - 1):
+            continue
+        if ext.trace(ext.mul(y, y)) != 1 or any(ext.trace(ext.mul(y, c)) for c in kept):
+            continue
+        kept.append(y)
+        if len(kept) == ext.m:
+            return tuple(kept)
+        total = ext.add(total, y)
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from .errors import BudgetError, ParamError, SizeError
 
 BRUTE_LIMIT = 1 << 24
 EXHAUSTIVE_SAMPLE_LIMIT = 1 << 20
+SAMPLE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def iter_roots(f: QuadraticForm, nonzero=False):
             yield x
 
 
-def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT, budget=100_000):
+def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT):
     """A uniformly random (optionally nonzero) root of f.
 
     Small spaces are enumerated and sampled exactly; larger ones use
@@ -199,11 +200,11 @@ def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT,
         if not roots:
             raise ParamError("no root exists" + (" (nonzero)" if nonzero else ""))
         return roots[rng.randrange(len(roots))]
-    for _ in range(budget):
+    for _ in range(SAMPLE_BUDGET):
         x = tuple(rng.randrange(o) for _ in range(f.nvars))
         if nonzero and not any(x):
             continue
         if f.evaluate(x) == 0:
             return x
-    raise BudgetError(f"root sampling budget {budget} exhausted")
+    raise BudgetError(f"root sampling budget {SAMPLE_BUDGET} exhausted")
 

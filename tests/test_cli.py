@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from sorank.fields import ext_field
+
 BASE = [sys.executable, "-m", "sorank.cli"]
 
 
@@ -78,6 +80,10 @@ def test_selfdual_basis_command():
     assert sorted(out.stdout.split()) == ["2", "3"]
     out = run_cli("selfdual-basis", "--q", "3", "--m", "2")
     assert out.returncode == 0 and out.stdout == "absent\n"
+    out = run_cli("selfdual-basis", "--q", "8", "--m", "5", "--seed", "0")
+    assert out.returncode == 0
+    assert ext_field(8, 5).is_self_dual_basis([int(b) for b in out.stdout.split()])
+    assert run_cli("selfdual-basis", "--q", "8", "--m", "5", "--seed", "5").stdout == out.stdout
 
 
 def test_error_reporting_and_exit_codes():
