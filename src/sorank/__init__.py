@@ -6,7 +6,7 @@ quadratic-form route, and verifies their combinatorial and
 list-decodability properties against brute-force oracles at desk scale.
 """
 
-from .balls import BallSpec, ball_size_exact, check_gb_bounds, gaussian_binomial
+from .balls import BallSpec, ball_size_exact, gaussian_binomial
 from .construct import sample_code_star, so_code
 from .errors import BudgetError, FormatError, ParamError, SizeError, ToolkitError
 from .fields import ExtField, Field, ext_field, field_from_q, find_self_dual_basis
@@ -42,7 +42,6 @@ __all__ = [
     "ToolkitError",
     "VectorWord",
     "ball_size_exact",
-    "check_gb_bounds",
     "count_roots_brute",
     "count_roots_formula",
     "dual",

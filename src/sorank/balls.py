@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import ParamError, SizeError
@@ -30,20 +30,6 @@ def gaussian_binomial(n, k, q):
         num *= q**n - q**i
         den *= q**k - q**i
     return num // den
-
-
-def gb_recurrence_holds(n, k, q):
-    """Pascal-type identity [n k] = [n-1 k-1] + q^k [n-1 k]."""
-    if k == 0 or k == n:
-        return gaussian_binomial(n, k, q) == 1
-    return gaussian_binomial(n, k, q) == gaussian_binomial(n - 1, k - 1, q) + q**k * gaussian_binomial(n - 1, k, q)
-
-
-def check_gb_bounds(n, k, q):
-    """q^{k(n-k)} <= [n k]_q <= 4 q^{k(n-k)}."""
-    v = gaussian_binomial(n, k, q)
-    lo = q ** (k * (n - k))
-    return lo <= v <= 4 * lo
 
 
 def rank_stratum_count(n, m, q, i):
@@ -73,21 +59,14 @@ def ball_size_upper_bound(n, m, q, tau):
 
 @dataclass(frozen=True)
 class BallSpec:
-    """A rank-metric ball: center word, integer radius r = floor(tau*n)."""
+    """A rank-metric ball: center word and integer radius."""
 
     center: MatrixWord
     radius: int
-    tau: float = dc_field(default=None)
 
     def __post_init__(self):
         if not 0 <= self.radius <= self.center.n:
             raise ParamError(f"radius {self.radius} out of range 0..{self.center.n}")
-
-    @classmethod
-    def from_tau(cls, center, tau):
-        if not 0 < tau < 1:
-            raise ParamError("tau must lie in (0, 1)")
-        return cls(center, int(math.floor(tau * center.n)), tau)
 
     @property
     def params(self):

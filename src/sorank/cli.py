@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import random
 import sys
@@ -175,7 +176,7 @@ def _parse_config(path):
 
 def _cmd_experiment(args, out):
     cfg = _parse_config(args.config)
-    _log(f"resolved config: {cfg.as_dict()}")
+    _log(f"resolved config: {dataclasses.asdict(cfg)}")
     report = experiments.max_list_size_experiment(cfg)
     _log(f"wall time: {report.wall_time:.3f}s")
     out.write(report.to_csv())

@@ -9,13 +9,17 @@ linear orthogonality equations by a nullspace basis, substitutes it into
 the sum-of-squares form, samples a root of the reduced form and maps it
 back, rejecting candidates that fall inside the current span.  The
 dimension cap is (D-1)/2 for ambient dimension D.
+
+The three ensembles the experiments compare (self-orthogonal codes, the
+code-star ensemble and uniform GF(q)-linear codes) all grow their rows
+the same way, through ``_outside_span``.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from .errors import BudgetError, ParamError
-from .quadforms import QuadraticForm, _index_pairs, sample_root, sum_of_squares
+from .quadforms import from_full_matrix, sample_root, sum_of_squares
 from .words import LinearCode, flat_space
 
 STEP_BUDGET = 10_000
@@ -28,14 +32,26 @@ def max_so_dimension(D: int) -> int:
     return (D - 1) // 2
 
 
+def _outside_span(F, D, k, rows, draw):
+    """The first of up to STEP_BUDGET words ``draw()`` returns that lies
+    outside the span of the independent ``rows``; the zero word never does.
+
+    Explicit span rejection: the counting argument is asymptotic and
+    collisions do occur at tiny parameters.
+    """
+    for _ in range(STEP_BUDGET):
+        x = draw()
+        if linalg.is_independent(F, rows + [x]):
+            return x
+    raise BudgetError(
+        f"step {len(rows) + 1}: budget {STEP_BUDGET} exhausted without a word outside the span "
+        f"(D={D}, k={k}, field order {F.order}); rerun with the same seed to reproduce"
+    )
+
+
 def _restricted_form(F, null_basis):
     """Sum-of-squares pulled back along y -> sum y_t * null_basis[t]."""
-    d = len(null_basis)
-    gram = [[linalg.dot(F, null_basis[s], null_basis[t]) for t in range(d)] for s in range(d)]
-    coeffs = []
-    for i, j in _index_pairs(d):
-        coeffs.append(gram[i][i] if i == j else F.add(gram[i][j], gram[j][i]))
-    return QuadraticForm(d, tuple(coeffs), F)
+    return from_full_matrix(F, [[linalg.dot(F, s, t) for t in null_basis] for s in null_basis])
 
 
 def so_flat_vectors(F, D, k, rng):
@@ -44,21 +60,15 @@ def so_flat_vectors(F, D, k, rng):
         raise ParamError(f"k={k} outside 1..{max_so_dimension(D)} for ambient dimension {D}")
     form = sum_of_squares(F, D)
     found = [list(sample_root(form, rng, nonzero=True, exhaustive_limit=_ROOT_EXHAUSTIVE_LIMIT))]
-    for step in range(2, k + 1):
+    while len(found) < k:
         null_basis = linalg.nullspace(F, found)
         g = _restricted_form(F, null_basis)
-        for _ in range(STEP_BUDGET):
+
+        def draw():
             y = sample_root(g, rng, nonzero=True, exhaustive_limit=_ROOT_EXHAUSTIVE_LIMIT)
-            x = linalg.combine(F, y, null_basis)
-            # Explicit span rejection: the counting argument is asymptotic
-            # and collisions do occur at tiny parameters.
-            if linalg.solve_in_span(F, found, x) is None:
-                found.append(x)
-                break
-        else:
-            raise BudgetError(
-                f"step {step} budget {STEP_BUDGET} exhausted (D={D}, k={k}); rerun with the same seed to reproduce"
-            )
+            return linalg.combine(F, y, null_basis)
+
+        found.append(_outside_span(F, D, k, found, draw))
     return found
 
 
@@ -83,14 +93,18 @@ def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode
         raise ParamError(f"k={k} exceeds half the ambient dimension {D}")
     if k >= 2 and k - 1 > max_so_dimension(D):
         raise ParamError(f"k-1={k - 1} exceeds the construction limit {max_so_dimension(D)}")
-    base = so_flat_vectors(F, D, k - 1, rng) if k >= 2 else []
-    for _ in range(STEP_BUDGET):
-        x = [rng.randrange(F.order) for _ in range(D)]
-        if not any(x):
-            continue
-        if linalg.solve_in_span(F, base, x) is None:
-            base = base + [x]
-            break
-    else:  # pragma: no cover
-        raise BudgetError("could not extend the self-orthogonal part")
-    return LinearCode.from_rows(base, field, n, m, repr, ext)
+    rows = so_flat_vectors(F, D, k - 1, rng) if k >= 2 else []
+    rows.append(_outside_span(F, D, k, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
+    return LinearCode.from_rows(rows, field, n, m, repr, ext)
+
+
+def uniform_linear_code(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
+    """A uniformly random k-dimensional code: k uniform words, each outside
+    the span of those before it (the baseline of Guruswami and Resch, 2017)."""
+    F, D = flat_space(repr, field, ext, n, m)
+    if not 0 <= k <= D:
+        raise ParamError(f"k={k} outside 0..{D}, the ambient dimension")
+    rows = []
+    while len(rows) < k:
+        rows.append(_outside_span(F, D, k, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
+    return LinearCode.from_rows(rows, field, n, m, repr, ext)

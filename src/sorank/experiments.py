@@ -13,11 +13,12 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from collections import Counter
+from dataclasses import asdict, dataclass, field as dc_field
 
 from . import linalg
 from .balls import ENUM_LIMIT, BallSpec, ball_size_exact, enumerate_ball, sample_from_ball
-from .construct import max_so_dimension, sample_code_star, so_code
+from .construct import max_so_dimension, sample_code_star, so_code, uniform_linear_code
 from .errors import ParamError, SizeError
 from .fields import ext_field, field_from_q
 from .words import (
@@ -134,19 +135,6 @@ class ExperimentConfig:
     def dimension(self):
         return dimension_from_rate(gv_rate(self.tau, self.rho, self.epsilon), self.n, self.m, self.repr)
 
-    def as_dict(self):
-        return {
-            "q": self.q,
-            "n": self.n,
-            "m": self.m,
-            "tau": self.tau,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "seed": self.seed,
-            "repr": self.repr,
-            "ensemble": self.ensemble,
-        }
-
 
 @dataclass
 class ExperimentReport:
@@ -164,14 +152,11 @@ class ExperimentReport:
 
     @property
     def histogram(self):
-        h = {}
-        for s in self.list_sizes:
-            h[s] = h.get(s, 0) + 1
-        return dict(sorted(h.items()))
+        return dict(sorted(Counter(self.list_sizes).items()))
 
     def summary_dict(self):
         return {
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "dimension": self.dimension,
             "radius": self.radius,
             "max_list_size": self.max_list_size,
@@ -203,14 +188,7 @@ def _draw_code(cfg: ExperimentConfig, k, rng):
         return code
     if cfg.ensemble == "code-star":
         return sample_code_star(field, cfg.n, cfg.m, max(k, 1), rng, repr=cfg.repr, ext=ext)
-    # uniform-linear: k independent uniform words
-    F, D = flat_space(cfg.repr, field, ext, cfg.n, cfg.m)
-    rows = []
-    while len(rows) < k:
-        v = [rng.randrange(F.order) for _ in range(D)]
-        if linalg.solve_in_span(F, rows, v) is None:
-            rows.append(v)
-    return LinearCode.from_rows(rows, field, cfg.n, cfg.m, cfg.repr, ext)
+    return uniform_linear_code(field, cfg.n, cfg.m, k, rng, repr=cfg.repr, ext=ext)
 
 
 def _uniform_center(cfg: ExperimentConfig, rng):

@@ -140,11 +140,6 @@ class _PrimeOps:
     def mul(self, a, b):
         return (a * b) % self.order
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.order - 2, self.order)
-
 
 class _PackedField:
     """Common machinery for GF(p^e) and GF(q^m): packed encoding + tables."""
@@ -232,9 +227,6 @@ class _PackedField:
             la = log[a]
             return exp[o1 - la] if la else 1
 
-        def div(a, b):
-            return mul(a, inv(b))
-
         def power(a, k):
             if a == 0:
                 if k == 0:
@@ -246,7 +238,6 @@ class _PackedField:
 
         self.mul = mul
         self.inv = inv
-        self.div = div
         self.pow = power
 
         # Addition: XOR in characteristic 2, a cached table for other small
@@ -284,9 +275,6 @@ class _PackedField:
                 self.neg = neg_slow
                 self.sub = lambda a, b: add_slow(a, neg_slow(b))
 
-    def elements(self):
-        return range(self.order)
-
     def to_digits(self, x):
         return _digits(x, self.scalar.order, self.deg)
 
@@ -319,26 +307,23 @@ class ExtField(_PackedField):
         self.base = base
         self.m = m
         self.q = base.order
-        if basis is None:
-            basis = tuple(self.q**i for i in range(m))
-        basis = tuple(basis)
-        if len(basis) != m or not self._basis_independent(basis):
+        poly = tuple(self.q**i for i in range(m))
+        basis = poly if basis is None else tuple(basis)
+        if len(basis) != m or any(not 0 <= b < self.order for b in basis):
             raise ParamError("basis is not an F_q-basis of the extension")
+        # Column j holds the digits of basis[j]; its inverse maps digits to
+        # coordinates, and inverting it is what validates the basis.
+        M = [[self.to_digits(b)[i] for b in basis] for i in range(m)]
+        try:
+            inverse = linalg.invert_matrix(base, M)
+        except ValueError:
+            raise ParamError("basis is not an F_q-basis of the extension") from None
         self.basis = basis
-        self._coords_inv_cache = {}
+        # None for the polynomial basis: its coordinates are the digits.
+        self._digits_to_coords = None if basis == poly else inverse
 
     def __repr__(self):
         return f"ExtField(GF({self.q}^{self.m})/GF({self.q}))"
-
-    def _basis_independent(self, basis):
-        rows = [self.to_digits(b) for b in basis]
-        return linalg.rank(self.base, rows) == self.m
-
-    def frobenius(self, x, i=1):
-        """x ** (q ** (i mod m)) by repeated q-th powering."""
-        for _ in range(i % self.m):
-            x = self.pow(x, self.q)
-        return x
 
     def trace(self, x):
         """Field trace down to GF(q): sum of the m Frobenius conjugates."""
@@ -351,39 +336,24 @@ class ExtField(_PackedField):
             raise ParamError(f"trace of {x!r} left the base field of {self!r}")
         return s
 
-    def _coords_inverse(self, basis):
-        Minv = self._coords_inv_cache.get(basis)
-        if Minv is None:
-            M = [[self.to_digits(b)[i] for b in basis] for i in range(self.m)]
-            Minv = linalg.invert_matrix(self.base, M)
-            self._coords_inv_cache[basis] = Minv
-        return Minv
-
-    def coords(self, x, basis=None):
-        """Expansion of x over the given (default: attached) basis."""
-        basis = self.basis if basis is None else tuple(basis)
+    def coords(self, x):
+        """Expansion of x over the attached basis."""
         ds = self.to_digits(x)
-        return tuple(linalg.dot(self.base, row, ds) for row in self._coords_inverse(basis))
+        if self._digits_to_coords is None:
+            return tuple(ds)
+        return tuple(linalg.dot(self.base, row, ds) for row in self._digits_to_coords)
 
-    def from_coords(self, cs, basis=None):
-        basis = self.basis if basis is None else tuple(basis)
-        return linalg.dot(self, cs, basis)
+    def from_coords(self, cs):
+        """The element with these coordinates over the attached basis."""
+        return linalg.dot(self, cs, self.basis)
 
-    def gram(self, basis=None):
+    def gram(self, basis):
         """Trace Gram matrix [tr(b_i b_j)] over GF(q)."""
-        basis = self.basis if basis is None else tuple(basis)
         return [[self.trace(self.mul(bi, bj)) for bj in basis] for bi in basis]
 
-    def dual_basis(self, basis=None):
-        """Trace-dual basis: tr(b_i b*_j) is the Kronecker delta."""
-        basis = self.basis if basis is None else tuple(basis)
-        Ginv = linalg.invert_matrix(self.base, self.gram(basis))
-        return tuple(linalg.dot(self, row, basis) for row in Ginv)
-
-    def is_self_dual_basis(self, basis=None):
-        basis = self.basis if basis is None else tuple(basis)
-        G = self.gram(basis)
-        return all(G[i][j] == (1 if i == j else 0) for i in range(self.m) for j in range(self.m))
+    def is_self_dual_basis(self, basis):
+        """True iff the m elements of ``basis`` are trace-orthonormal."""
+        return self.gram(basis) == [[int(i == j) for j in range(self.m)] for i in range(self.m)]
 
 
 def self_dual_basis_exists(q, m):

@@ -126,23 +126,6 @@ def nullspace(F, rows):
     return basis
 
 
-def solve_in_span(F, basis_rows, target):
-    """Coefficients c with sum_i c_i * basis_rows[i] == target, or None."""
-    if not basis_rows:
-        return [] if not any(target) else None
-    k = len(basis_rows)
-    ncols = len(target)
-    # Augmented system: columns are the basis vectors, last column the target.
-    aug = [[basis_rows[i][j] for i in range(k)] + [target[j]] for j in range(ncols)]
-    R, pivots = rref(F, aug)
-    if k in pivots:
-        return None
-    coeffs = [0] * k
-    for i, pc in enumerate(pivots):
-        coeffs[pc] = R[i][k]
-    return coeffs
-
-
 def spans_contain(F, big, small):
     """True iff every row of ``small`` lies in the row span of ``big``."""
     if not small:

@@ -11,6 +11,7 @@ its radical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -46,11 +47,6 @@ class QuadraticForm:
             self, "_terms", tuple((i, j, a) for (i, j), a in zip(_index_pairs(N), self.coeffs) if a)
         )
 
-    def coeff(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.coeffs[_flat_index(self.nvars, i, j)]
-
     def is_zero(self):
         return not self._terms
 
@@ -73,43 +69,17 @@ def _index_pairs(N):
             yield i, j
 
 
-def _flat_index(N, i, j):
-    return i * N - i * (i - 1) // 2 + (j - i)
-
-
 def from_full_matrix(field, M):
     """Fold a full coefficient matrix (f = x^T M x) upper-triangular."""
     N = len(M)
-    coeffs = []
-    for i in range(N):
-        for j in range(i, N):
-            coeffs.append(M[i][j] if i == j else field.add(M[i][j], M[j][i]))
-    return QuadraticForm(N, tuple(coeffs), field)
+    coeffs = tuple(M[i][i] if i == j else field.add(M[i][j], M[j][i]) for i, j in _index_pairs(N))
+    return QuadraticForm(N, coeffs, field)
 
 
 def sum_of_squares(field, N):
     """x_1^2 + ... + x_N^2."""
     coeffs = [1 if i == j else 0 for i, j in _index_pairs(N)]
     return QuadraticForm(N, tuple(coeffs), field)
-
-
-def transform(f: QuadraticForm, M):
-    """The equivalent form g(y) = f(M y); M must be N x N over f.field."""
-    F = f.field
-    N = f.nvars
-    G = [[0] * N for _ in range(N)]
-    add, mul = F.add, F.mul
-    for i, j, a in f._terms:
-        Mi, Mj = M[i], M[j]
-        for s in range(N):
-            if not Mi[s]:
-                continue
-            am = mul(a, Mi[s])
-            row = G[s]
-            for t in range(N):
-                if Mj[t]:
-                    row[t] = add(row[t], mul(am, Mj[t]))
-    return from_full_matrix(F, G)
 
 
 def rank_of_form(f: QuadraticForm) -> int:
@@ -144,17 +114,10 @@ def rank_of_form(f: QuadraticForm) -> int:
 
 def count_roots_brute(f: QuadraticForm) -> int:
     """Exact root count by exhaustive enumeration (space capped at 2^24)."""
-    import itertools
-
-    o = f.field.order
-    space = o**f.nvars
+    space = f.field.order**f.nvars
     if space > BRUTE_LIMIT:
         raise SizeError(f"search space {space} exceeds 2^24")
-    count = 0
-    for x in itertools.product(range(o), repeat=f.nvars):
-        if f.evaluate(x) == 0:
-            count += 1
-    return count
+    return sum(1 for _ in iter_roots(f))
 
 
 def count_roots_formula(f: QuadraticForm):
@@ -176,8 +139,6 @@ def count_roots_formula(f: QuadraticForm):
 
 
 def iter_roots(f: QuadraticForm, nonzero=False):
-    import itertools
-
     o = f.field.order
     for x in itertools.product(range(o), repeat=f.nvars):
         if nonzero and not any(x):
@@ -206,5 +167,7 @@ def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT)
             continue
         if f.evaluate(x) == 0:
             return x
-    raise BudgetError(f"root sampling budget {SAMPLE_BUDGET} exhausted")
+    raise BudgetError(
+        f"root sampling budget {SAMPLE_BUDGET} exhausted (nvars={f.nvars}, field order {o}, nonzero={nonzero})"
+    )
 

@@ -126,31 +126,18 @@ def vector_inner_product(x: VectorWord, y: VectorWord):
     return linalg.dot(x.field, x.coords, y.coords)
 
 
-def mat_to_vec(X: MatrixWord, ext: ExtField, basis=None) -> VectorWord:
-    """Row i of X holds the basis coordinates of vector coordinate i."""
-    basis = ext.basis if basis is None else tuple(basis)
+def mat_to_vec(X: MatrixWord, ext: ExtField) -> VectorWord:
+    """Row i of X holds the attached-basis coordinates of vector coordinate i."""
     if X.m != ext.m or X.field.order != ext.q:
         raise ParamError("matrix shape does not match the extension")
-    coords = tuple(ext.from_coords(row, basis) for row in X.entries)
+    coords = tuple(ext.from_coords(row) for row in X.entries)
     return VectorWord(coords, ext)
 
 
-def vec_to_mat(x: VectorWord, basis=None) -> MatrixWord:
+def vec_to_mat(x: VectorWord) -> MatrixWord:
     ext = x.field
-    basis = ext.basis if basis is None else tuple(basis)
-    rows = tuple(ext.coords(c, basis) for c in x.coords)
+    rows = tuple(ext.coords(c) for c in x.coords)
     return MatrixWord(rows, ext.base)
-
-
-def lemma1_pair_identity(a: VectorWord, b: VectorWord, basis):
-    """(tr<a,b>, Tr(A B^T)) under a self-dual basis; the two must agree."""
-    ext = a.field
-    basis = tuple(basis)
-    if not ext.is_self_dual_basis(basis):
-        raise ParamError("basis is not self-dual")
-    lhs = ext.trace(vector_inner_product(a, b))
-    rhs = trace_inner_product(vec_to_mat(a, basis), vec_to_mat(b, basis))
-    return lhs, rhs
 
 
 def flat_space(repr, field, ext, n, m):
@@ -185,6 +172,8 @@ class LinearCode:
 
     def __post_init__(self):
         F, D = self._space
+        if any(w.n != self.n or len(row) != D for w, row in zip(self.basis, self.rows)):
+            raise ParamError(f"basis word does not fit a {self.repr} code of width {D}")
         if self.k > D:
             raise ParamError(f"dimension {self.k} exceeds {D}")
         if self.rows and not linalg.is_independent(F, self.rows):
@@ -199,27 +188,11 @@ class LinearCode:
         return self.field.order
 
     @classmethod
-    def from_matrix_words(cls, words, field, n, m):
-        words = tuple(words)
-        for w in words:
-            if (w.n, w.m) != (n, m):
-                raise ParamError("inconsistent word dimensions")
-        return cls("matrix", words, field, None, n, m)
-
-    @classmethod
-    def from_vector_words(cls, words, ext, n):
-        words = tuple(words)
-        for w in words:
-            if w.n != n:
-                raise ParamError("inconsistent word lengths")
-        return cls("vector", words, ext.base, ext, n, ext.m)
-
-    @classmethod
     def from_rows(cls, rows, field, n, m, repr="matrix", ext=None):
         """The code with these independent basis rows (see ``flat_space``);
         a vector code takes GF(q) and m from ``ext``."""
         if repr == "vector":
-            return cls.from_vector_words([VectorWord(tuple(v), ext) for v in rows], ext, n)
+            return cls(repr, tuple(VectorWord(tuple(v), ext) for v in rows), ext.base, ext, n, ext.m)
         return cls(repr, tuple(MatrixWord.from_flat(v, field, n, m) for v in rows), field, None, n, m)
 
     @cached_property

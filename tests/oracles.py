@@ -1,0 +1,74 @@
+"""Reference implementations the tests compare the package against.
+
+Nothing in the package calls these.  Each one computes its answer the
+direct way (an identity checked term by term, an explicit change of
+variables, an augmented linear system), so a faster path in ``sorank`` can
+be checked against it.
+"""
+
+from sorank import linalg
+from sorank.balls import gaussian_binomial
+from sorank.errors import ParamError
+from sorank.quadforms import QuadraticForm, from_full_matrix
+from sorank.words import VectorWord, trace_inner_product, vec_to_mat, vector_inner_product
+
+
+def gb_recurrence_holds(n, k, q):
+    """Pascal-type identity [n k] = [n-1 k-1] + q^k [n-1 k]."""
+    if k == 0 or k == n:
+        return gaussian_binomial(n, k, q) == 1
+    return gaussian_binomial(n, k, q) == gaussian_binomial(n - 1, k - 1, q) + q**k * gaussian_binomial(n - 1, k, q)
+
+
+def check_gb_bounds(n, k, q):
+    """q^{k(n-k)} <= [n k]_q <= 4 q^{k(n-k)}."""
+    v = gaussian_binomial(n, k, q)
+    lo = q ** (k * (n - k))
+    return lo <= v <= 4 * lo
+
+
+def transform(f: QuadraticForm, M):
+    """The equivalent form g(y) = f(M y); M must be N x N over f.field."""
+    F = f.field
+    N = f.nvars
+    G = [[0] * N for _ in range(N)]
+    add, mul = F.add, F.mul
+    for i, j, a in f._terms:
+        Mi, Mj = M[i], M[j]
+        for s in range(N):
+            if not Mi[s]:
+                continue
+            am = mul(a, Mi[s])
+            row = G[s]
+            for t in range(N):
+                if Mj[t]:
+                    row[t] = add(row[t], mul(am, Mj[t]))
+    return from_full_matrix(F, G)
+
+
+def lemma1_pair_identity(a: VectorWord, b: VectorWord):
+    """(tr<a,b>, Tr(A B^T)), with A and B expanded over the basis attached
+    to the words' extension, which must be self-dual; the two must agree."""
+    ext = a.field
+    if not ext.is_self_dual_basis(ext.basis):
+        raise ParamError("basis is not self-dual")
+    lhs = ext.trace(vector_inner_product(a, b))
+    rhs = trace_inner_product(vec_to_mat(a), vec_to_mat(b))
+    return lhs, rhs
+
+
+def solve_in_span(F, basis_rows, target):
+    """Coefficients c with sum_i c_i * basis_rows[i] == target, or None."""
+    if not basis_rows:
+        return [] if not any(target) else None
+    k = len(basis_rows)
+    ncols = len(target)
+    # Augmented system: columns are the basis vectors, last column the target.
+    aug = [[basis_rows[i][j] for i in range(k)] + [target[j]] for j in range(ncols)]
+    R, pivots = linalg.rref(F, aug)
+    if k in pivots:
+        return None
+    coeffs = [0] * k
+    for i, pc in enumerate(pivots):
+        coeffs[pc] = R[i][k]
+    return coeffs

@@ -12,19 +12,12 @@ import time
 
 import pytest
 
+from oracles import check_gb_bounds, gb_recurrence_holds, lemma1_pair_identity
 from sorank import linalg
-from sorank.balls import (
-    BallSpec,
-    ball_size_exact,
-    check_gb_bounds,
-    enumerate_ball,
-    gb_recurrence_holds,
-    iter_rref,
-    sample_from_ball,
-)
+from sorank.balls import BallSpec, ball_size_exact, enumerate_ball, iter_rref, sample_from_ball
 from sorank.construct import max_so_dimension, so_code
 from sorank.experiments import ExperimentConfig, list_size_at, max_list_size_experiment
-from sorank.fields import ext_field, field_from_q, find_self_dual_basis, self_dual_basis_exists
+from sorank.fields import ExtField, ext_field, field_from_q, find_self_dual_basis, self_dual_basis_exists
 from sorank.quadforms import (
     QuadraticForm,
     count_roots_brute,
@@ -38,7 +31,6 @@ from sorank.words import (
     VectorWord,
     dual,
     is_self_orthogonal,
-    lemma1_pair_identity,
     rank_distance,
 )
 
@@ -155,14 +147,13 @@ def test_criterion_4_construction_validity(report):
 def test_criterion_5_lemma1_correspondence(report):
     ok = True
     for q, m, n in ((2, 2, 3), (3, 3, 2)):
-        ext = ext_field(q, m)
-        basis = find_self_dual_basis(ext)
-        ok &= basis is not None and ext.is_self_dual_basis(basis)
+        ext = ExtField(field_from_q(q), m, basis=find_self_dual_basis(ext_field(q, m)))
+        ok &= ext.is_self_dual_basis(ext.basis)
         rng = random.Random(500 + q)
         for _ in range(10_000):
             a = VectorWord(tuple(rng.randrange(ext.order) for _ in range(n)), ext)
             b = VectorWord(tuple(rng.randrange(ext.order) for _ in range(n)), ext)
-            lhs, rhs = lemma1_pair_identity(a, b, basis)
+            lhs, rhs = lemma1_pair_identity(a, b)
             ok &= lhs == rhs
     for q in (2, 3, 4, 5):
         for m in range(1, 5):
@@ -177,8 +168,7 @@ def test_criterion_6_list_size_oracle_equivalence(report):
     codes = []
     for k in (0, 1, 2):
         for rows in iter_rref(F, k, 4):
-            words = [MatrixWord.from_flat(row, F, 2, 2) for row in rows]
-            codes.append(LinearCode.from_matrix_words(words, F, 2, 2))
+            codes.append(LinearCode.from_rows(rows, F, 2, 2))
     centers = [
         MatrixWord((tuple(flat[:2]), tuple(flat[2:])), F)
         for flat in itertools.product(range(2), repeat=4)

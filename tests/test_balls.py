@@ -3,15 +3,14 @@ import random
 
 import pytest
 
+from oracles import check_gb_bounds, gb_recurrence_holds
 from sorank import linalg
 from sorank.balls import (
     BallSpec,
     ball_size_exact,
     ball_size_upper_bound,
-    check_gb_bounds,
     enumerate_ball,
     gaussian_binomial,
-    gb_recurrence_holds,
     iter_full_colrank,
     iter_rref,
     rank_stratum_count,
@@ -89,10 +88,10 @@ def test_ball_upper_bound_dominates():
                 assert math.log(exact, q) <= ball_size_upper_bound(n, m, q, tau) + 1e-9
 
 
-def test_ballspec_from_tau():
+def test_ballspec_size_and_radius_range():
     c = MatrixWord.zero(F2, 2, 2)
-    spec = BallSpec.from_tau(c, 0.5)
-    assert spec.radius == 1 and spec.size() == 10
+    spec = BallSpec(c, 1)
+    assert spec.params == (2, 2, 2) and spec.size() == 10
     with pytest.raises(ParamError):
         BallSpec(c, 3)
 

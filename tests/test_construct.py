@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from sorank import linalg
+from sorank import construct, linalg, quadforms
 from sorank.construct import (
     max_so_dimension,
     sample_code_star,
     so_code,
     so_flat_vectors,
 )
-from sorank.errors import ParamError
+from sorank.errors import BudgetError, ParamError
 from sorank.fields import ext_field, field_from_q
 from sorank.words import (
     LinearCode,
@@ -38,6 +38,9 @@ def test_parameter_validation():
         so_flat_vectors(F2, 4, 0, rng)
     with pytest.raises(ParamError):
         sample_code_star(F2, 2, 2, 3, rng)
+    with pytest.raises(ParamError):
+        construct.uniform_linear_code(F2, 2, 2, 5, rng)
+    assert construct.uniform_linear_code(F2, 2, 2, 4, rng).k == 4  # the whole space
 
 
 def test_flat_vectors_are_orthogonal_and_independent():
@@ -116,7 +119,7 @@ def test_code_star_structure():
     for _ in range(30):
         code = sample_code_star(F2, 2, 4, 3, rng)
         assert code.k == 3
-        sub = LinearCode.from_matrix_words(list(code.basis[:-1]), F2, 2, 4)
+        sub = LinearCode.from_rows(code.rows[:-1], F2, 2, 4)
         assert is_self_orthogonal(sub)
 
 
@@ -124,3 +127,25 @@ def test_code_star_k1_is_any_nonzero_word():
     rng = random.Random(11)
     code = sample_code_star(F2, 2, 2, 1, rng)
     assert code.k == 1
+
+
+def test_budget_errors_name_their_parameters(monkeypatch):
+    monkeypatch.setattr(construct, "STEP_BUDGET", 0)
+    monkeypatch.setattr(quadforms, "SAMPLE_BUDGET", 0)
+    E8 = ext_field(2, 3)
+    cases = [
+        (lambda: construct.so_code(F2, 2, 4, 3, random.Random(0)), "step 2:", "(D=8, k=3, field order 2)"),
+        (lambda: construct.sample_code_star(F3, 2, 4, 1, random.Random(0)), "step 1:", "(D=8, k=1, field order 3)"),
+        (
+            lambda: construct.uniform_linear_code(F2, 4, 3, 2, random.Random(0), repr="vector", ext=E8),
+            "step 1:",
+            "(D=4, k=2, field order 8)",
+        ),
+    ]
+    for build, step, params in cases:
+        with pytest.raises(BudgetError) as exc:
+            build()
+        assert step in str(exc.value) and params in str(exc.value) and "budget 0" in str(exc.value)
+    with pytest.raises(BudgetError) as exc:
+        quadforms.sample_root(quadforms.sum_of_squares(F3, 4), random.Random(0), nonzero=True, exhaustive_limit=1)
+    assert "budget 0" in str(exc.value) and "(nvars=4, field order 3, nonzero=True)" in str(exc.value)

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from sorank import experiments, linalg
+from oracles import solve_in_span
+from sorank import experiments
 from sorank.balls import BallSpec, ball_size_exact, enumerate_ball
+from sorank.construct import uniform_linear_code
 from sorank.errors import ParamError
 from sorank.experiments import (
     EventEstimate,
@@ -57,14 +59,11 @@ def test_trial_streams_are_deterministic_and_distinct():
 
 def test_list_size_at_small_oracle():
     # full ambient space code: list size is the whole ball
-    full = LinearCode.from_matrix_words(
-        [MatrixWord.from_flat([1 if i == j else 0 for j in range(4)], F2, 2, 2) for i in range(4)],
-        F2, 2, 2,
-    )
+    full = LinearCode.from_rows([[1 if i == j else 0 for j in range(4)] for i in range(4)], F2, 2, 2)
     center = MatrixWord.zero(F2, 2, 2)
     assert list_size_at(full, center, 1) == 10
     assert list_size_at(full, center, 2) == 16
-    zero = LinearCode.from_matrix_words([], F2, 2, 2)
+    zero = LinearCode.from_rows([], F2, 2, 2)
     assert list_size_at(zero, center, 1) == 1
     assert list_size_at(zero, MatrixWord(((1, 0), (0, 1)), F2), 1) == 0
 
@@ -106,16 +105,7 @@ def _random_word(code, rng):
 
 def _random_code(q, n, m, k, ext, rng):
     """k independent uniform words over the linearity field."""
-    F = field_from_q(q)
-    L, D = (F, n * m) if ext is None else (ext, n)
-    rows = []
-    while len(rows) < k:
-        v = [rng.randrange(L.order) for _ in range(D)]
-        if linalg.is_independent(L, rows + [v]):
-            rows.append(v)
-    if ext is None:
-        return LinearCode.from_matrix_words([MatrixWord.from_flat(v, F, n, m) for v in rows], F, n, m)
-    return LinearCode.from_vector_words([VectorWord(tuple(v), ext) for v in rows], ext, n)
+    return uniform_linear_code(field_from_q(q), n, m, k, rng, repr="matrix" if ext is None else "vector", ext=ext)
 
 
 def _check_routes_agree(case, monkeypatch):
@@ -169,7 +159,7 @@ def test_contains_matches_solve_in_span(case):
     outside = [_random_word(code, rng) for _ in range(40)]
     for w in inside + outside:
         target = list(w.flatten()) if code.repr == "matrix" else list(w.coords)
-        expected = linalg.solve_in_span(L, code.rows, target) is not None
+        expected = solve_in_span(L, code.rows, target) is not None
         assert code.contains(w) == expected
         if code.repr == "vector":
             assert code.contains(vec_to_mat(w)) == expected

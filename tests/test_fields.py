@@ -5,6 +5,7 @@ import pytest
 from sorank import linalg
 from sorank.errors import ParamError
 from sorank.fields import (
+    ExtField,
     Field,
     ext_field,
     field_from_q,
@@ -66,32 +67,7 @@ def test_trace_is_linear_and_surjective(q, m):
         lhs = E.trace(E.add(E.mul(a, x), E.mul(b, y)))
         rhs = base.add(base.mul(a, E.trace(x)), base.mul(b, E.trace(y)))
         assert lhs == rhs
-    assert {E.trace(x) for x in E.elements()} == set(range(q))
-
-
-def test_dual_basis_examples():
-    E = ext_field(2, 2)
-    w, w2 = 2, 3
-    assert E.dual_basis((w, w2)) == (w, w2)
-    # polynomial basis {1, w}: defining property of its dual
-    d1, d2 = E.dual_basis((1, w))
-    assert E.trace(d1) == 1 and E.trace(E.mul(w, d1)) == 0
-    assert E.trace(d2) == 0 and E.trace(E.mul(w, d2)) == 1
-
-
-def test_dual_basis_is_involutive_over_gf8():
-    E = ext_field(2, 3)
-    rng = random.Random(3)
-    found = 0
-    while found < 100:
-        cand = tuple(rng.randrange(1, 8) for _ in range(3))
-        if not E._basis_independent(cand):
-            continue
-        found += 1
-        dual = E.dual_basis(cand)
-        assert E.dual_basis(dual) == cand
-        G = [[E.trace(E.mul(bi, dj)) for dj in dual] for bi in cand]
-        assert G == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    assert {E.trace(x) for x in range(E.order)} == set(range(q))
 
 
 def test_self_dual_basis_small_cases():
@@ -119,25 +95,34 @@ def test_self_dual_basis_existence_matches_condition(q, m):
 
 
 def test_frobenius():
+    # x -> x^q fixes GF(q), and its m-th iterate is the identity.
     E = ext_field(2, 2)
     w = 2
-    assert E.frobenius(w, 0) == w
-    assert E.frobenius(w, 1) == 3  # w^2 = w + 1
+    assert E.pow(w, 2) == 3  # w^2 = w + 1
+    assert E.pow(E.pow(w, 2), 2) == w
     E8 = ext_field(2, 3)
+    assert [x for x in range(8) if E8.pow(x, 2) == x] == [0, 1]
     rng = random.Random(5)
     for _ in range(100):
         x = rng.randrange(8)
-        assert E8.frobenius(E8.frobenius(x, 1), E8.m - 1) == x
+        assert E8.pow(E8.pow(x, 2), 4) == x
 
 
-def test_coords_roundtrip_and_nonstandard_basis():
-    E = ext_field(2, 3)
-    rng = random.Random(9)
-    basis = None
-    while basis is None:
-        cand = tuple(rng.randrange(1, 8) for _ in range(3))
-        if E._basis_independent(cand):
-            basis = cand
-    for x in E.elements():
-        assert E.from_coords(E.coords(x, basis), basis) == x
+# 1, x, x + x^2 is no GF(8)-multiple of the polynomial basis 1, x, x^2.
+@pytest.mark.parametrize("basis", [None, (1, 2, 6)], ids=["poly", "nonpoly"])
+def test_coords_roundtrip_and_nonstandard_basis(basis):
+    base = field_from_q(2)
+    E = ExtField(base, 3, basis=basis)
+    assert linalg.rank(base, [E.to_digits(b) for b in E.basis]) == 3
+    for x in range(E.order):
+        assert E.from_coords(E.coords(x)) == x
+    assert [E.coords(b) for b in E.basis] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
+
+def test_singular_basis_rejected():
+    with pytest.raises(ParamError):
+        ExtField(field_from_q(2), 3, basis=(1, 2, 3))  # 3 = 1 + 2
+    with pytest.raises(ParamError):
+        ExtField(field_from_q(3), 2, basis=(1,))
+    with pytest.raises(ParamError):
+        ExtField(field_from_q(2), 3, basis=(1, 2, 12))  # 12 is no element of GF(8)

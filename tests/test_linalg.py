@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import solve_in_span
 from sorank import linalg
 from sorank.fields import ext_field, field_from_q
 
@@ -46,21 +47,38 @@ def test_solve_in_span_roundtrip(F):
         for c, row in zip(coeffs, basis):
             for j in range(4):
                 target[j] = F.add(target[j], F.mul(c, row[j]))
-        sol = linalg.solve_in_span(F, basis, target)
+        sol = solve_in_span(F, basis, target)
         assert sol is not None
         rebuilt = [0, 0, 0, 0]
         for c, row in zip(sol, basis):
             for j in range(4):
                 rebuilt[j] = F.add(rebuilt[j], F.mul(c, row[j]))
         assert rebuilt == target
+        assert not linalg.is_independent(F, basis + [target])
 
 
 def test_solve_in_span_detects_outsiders():
     F = field_from_q(2)
     basis = [[1, 1, 0, 0], [0, 0, 1, 1]]
-    assert linalg.solve_in_span(F, basis, [1, 0, 0, 0]) is None
-    assert linalg.solve_in_span(F, [], [0, 0]) == []
-    assert linalg.solve_in_span(F, [], [1, 0]) is None
+    assert solve_in_span(F, basis, [1, 0, 0, 0]) is None
+    assert solve_in_span(F, [], [0, 0]) == []
+    assert solve_in_span(F, [], [1, 0]) is None
+    # Differential check of the span test the constructions use: for
+    # independent rows, rows + [x] is independent exactly when x lies
+    # outside their span.  Covers no rows, the zero word, words inside the
+    # span and uniform words.
+    rng = random.Random(19)
+    for F in [field_from_q(q) for q in (2, 3, 4, 8, 9)]:
+        for _ in range(60):
+            D = rng.randrange(1, 6)
+            rows = []
+            for _ in range(rng.randrange(D + 1)):
+                v = [rng.randrange(F.order) for _ in range(D)]
+                if linalg.is_independent(F, rows + [v]):
+                    rows.append(v)
+            inside = [linalg.combine(F, [rng.randrange(F.order) for _ in rows], rows)] if rows else []
+            for x in [[0] * D, *inside, *([rng.randrange(F.order) for _ in range(D)] for _ in range(5))]:
+                assert linalg.is_independent(F, rows + [x]) == (solve_in_span(F, rows, x) is None)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=lambda f: repr(f))

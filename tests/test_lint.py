@@ -17,3 +17,28 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in sorank: {found}"
+
+
+# Public names nothing in the package refers to, kept on purpose: the
+# research API, and ExtField.is_self_dual_basis, with which callers check a
+# basis that `sorank selfdual-basis` printed.
+UNREFERENCED_API = {"lemma47_event_estimate", "lemma48_event_estimate", "frequency", "is_self_dual_basis"}
+
+
+def test_no_public_name_exists_only_for_tests():
+    # A public function, method or class that no name, attribute or import in
+    # the package refers to is called from outside only; reference
+    # implementations that tests compare against belong in tests/oracles.py.
+    defined, referred = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referred.add(node.name)
+    unreferenced = sorted(f"{name} ({where})" for name, where in defined.items() if name not in referred | UNREFERENCED_API)
+    assert not unreferenced, f"public names nothing in sorank refers to: {unreferenced}"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import transform
 from sorank import linalg
 from sorank.errors import ParamError, SizeError
 from sorank.fields import ext_field, field_from_q
@@ -15,7 +16,6 @@ from sorank.quadforms import (
     rank_of_form,
     sample_root,
     sum_of_squares,
-    transform,
 )
 
 F2 = field_from_q(2)

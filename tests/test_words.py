@@ -4,7 +4,8 @@ import pytest
 
 from sorank import linalg
 from sorank.errors import FormatError, ParamError
-from sorank.fields import ext_field, field_from_q, find_self_dual_basis
+from oracles import lemma1_pair_identity
+from sorank.fields import ExtField, ext_field, field_from_q, find_self_dual_basis
 from sorank.words import (
     LinearCode,
     MatrixWord,
@@ -13,7 +14,6 @@ from sorank.words import (
     dump_code,
     is_contained_in_dual,
     is_self_orthogonal,
-    lemma1_pair_identity,
     load_code,
     mat_to_vec,
     rank_distance,
@@ -103,33 +103,30 @@ def test_bilinearity_of_inner_products():
 
 
 def test_mat_to_vec_examples():
-    E = ext_field(2, 2)
     w, w2 = 2, 3
-    basis = (w, w2)
+    E = ExtField(F2, 2, basis=(w, w2))
     x = VectorWord((w, 0), E)
-    assert vec_to_mat(x, basis).entries == ((1, 0), (0, 0))
+    assert vec_to_mat(x).entries == ((1, 0), (0, 0))
     rng = random.Random(41)
     for _ in range(1000):
         X = _random_mw(F2, 2, 2, rng)
-        assert vec_to_mat(mat_to_vec(X, E, basis), basis) == X
+        assert vec_to_mat(mat_to_vec(X, E)) == X
     # rank of the coordinate matrix does not depend on the basis
-    from sorank import linalg
-
-    other = (1, w)
+    other = ExtField(F2, 2, basis=(1, w))
     for _ in range(200):
-        x = VectorWord(tuple(rng.randrange(4) for _ in range(3)), E)
-        r1 = linalg.rank(F2, [list(r) for r in vec_to_mat(x, basis).entries])
-        r2 = linalg.rank(F2, [list(r) for r in vec_to_mat(x, other).entries])
-        assert r1 == r2 == word_rank(x)
+        coords = tuple(rng.randrange(4) for _ in range(3))
+        r1 = linalg.rank(F2, [list(r) for r in vec_to_mat(VectorWord(coords, E)).entries])
+        r2 = linalg.rank(F2, [list(r) for r in vec_to_mat(VectorWord(coords, other)).entries])
+        assert r1 == r2 == word_rank(VectorWord(coords, ext_field(2, 2)))
 
 
 def test_delsarte_dual_examples():
-    zero_code = LinearCode.from_matrix_words([], F2, 2, 2)
+    zero_code = LinearCode.from_rows([], F2, 2, 2)
     assert dual(zero_code).k == 4
     full = dual(zero_code)
     assert full.repr == "matrix" and dual(full).k == 0
     gen = _mw([[1, 1], [0, 0]])
-    C = LinearCode.from_matrix_words([gen], F2, 2, 2)
+    C = LinearCode.from_rows([gen.flatten()], F2, 2, 2)
     D = dual(C)
     assert D.k == 3
     assert D.contains(gen)
@@ -137,12 +134,12 @@ def test_delsarte_dual_examples():
 
 def test_vector_dual_examples():
     E4 = ext_field(2, 2)
-    C = LinearCode.from_vector_words([VectorWord((1, 1), E4)], E4, 2)
+    C = LinearCode.from_rows([(1, 1)], F2, 2, 2, repr="vector", ext=E4)
     D = dual(C)
     assert D.repr == "vector" and D.ext is E4
     assert D.k == 1 and D.contains(VectorWord((1, 1), E4))
     E9 = ext_field(3, 2)
-    C = LinearCode.from_vector_words([VectorWord((1, 2), E9)], E9, 2)
+    C = LinearCode.from_rows([(1, 2)], F3, 2, 2, repr="vector", ext=E9)
     D = dual(C)
     assert D.k == 1 and D.contains(VectorWord((1, 1), E9))
 
@@ -157,14 +154,11 @@ def test_dual_dimension_and_involution(repr_):
             rows = []
             while len(rows) < k:
                 w = _random_mw(F2, 2, 3, rng)
-                cand = rows + [w]
-                code = None
                 try:
-                    code = LinearCode.from_matrix_words(cand, F2, 2, 3)
+                    rows = list(LinearCode.from_rows(rows + [w.flatten()], F2, 2, 3).rows)
                 except ParamError:
                     continue
-                rows = cand
-            return LinearCode.from_matrix_words(rows, F2, 2, 3)
+            return LinearCode.from_rows(rows, F2, 2, 3)
 
         total = 6
     else:
@@ -173,12 +167,12 @@ def test_dual_dimension_and_involution(repr_):
         def make(k):
             rows = []
             while len(rows) < k:
-                w = VectorWord(tuple(rng.randrange(9) for _ in range(4)), E)
+                w = tuple(rng.randrange(9) for _ in range(4))
                 try:
-                    rows = list(LinearCode.from_vector_words(list(rows) + [w], E, 4).basis)
+                    rows = list(LinearCode.from_rows(rows + [w], F3, 4, 2, repr="vector", ext=E).rows)
                 except ParamError:
                     continue
-            return LinearCode.from_vector_words(rows, E, 4)
+            return LinearCode.from_rows(rows, F3, 4, 2, repr="vector", ext=E)
 
         total = 4
     for k in range(total + 1):
@@ -191,11 +185,11 @@ def test_dual_dimension_and_involution(repr_):
 def test_from_rows_matches_word_constructors():
     rows = [(1, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 1)]
     C = LinearCode.from_rows(rows, F2, 2, 3)
-    assert C == LinearCode.from_matrix_words([MatrixWord.from_flat(r, F2, 2, 3) for r in rows], F2, 2, 3)
+    assert C == LinearCode("matrix", tuple(MatrixWord.from_flat(r, F2, 2, 3) for r in rows), F2, None, 2, 3)
     assert C.rows == tuple(rows) and C.width == 6 and C.lin_field() is F2
     E = ext_field(2, 2)
     V = LinearCode.from_rows([(1, 2, 3)], F2, 3, 2, repr="vector", ext=E)
-    assert V == LinearCode.from_vector_words([VectorWord((1, 2, 3), E)], E, 3)
+    assert V == LinearCode("vector", (VectorWord((1, 2, 3), E),), F2, E, 3, 2)
     assert V.rows == ((1, 2, 3),) and V.width == 3 and V.lin_field() is E
     with pytest.raises(ParamError):
         LinearCode.from_rows([(1, 0, 1, 1, 0, 0, 1)], F2, 2, 3)  # one entry too many
@@ -203,40 +197,40 @@ def test_from_rows_matches_word_constructors():
         LinearCode.from_rows(rows, F2, 2, 3, repr="weird")
     with pytest.raises(ParamError):
         LinearCode.from_rows([rows[0], rows[0]], F2, 2, 3)  # dependent
+    # Direct construction checks each word against the code's shape too.
+    with pytest.raises(ParamError):
+        LinearCode("matrix", (MatrixWord.zero(F2, 3, 2),), F2, None, 2, 3)  # 3 x 2 word, 2 x 3 code
+    with pytest.raises(ParamError):
+        LinearCode("vector", (VectorWord((1, 2, 3), E),), F2, E, 2, 2)  # length 3, n = 2
 
 
 def test_is_self_orthogonal_examples():
-    assert is_self_orthogonal(LinearCode.from_matrix_words([], F2, 2, 2))
-    C = LinearCode.from_matrix_words([_mw([[1, 1], [0, 0]])], F2, 2, 2)
+    assert is_self_orthogonal(LinearCode.from_rows([], F2, 2, 2))
+    C = LinearCode.from_rows([(1, 1, 0, 0)], F2, 2, 2)
     assert is_self_orthogonal(C)
     assert is_contained_in_dual(C)
     eye3 = _mw([[1, 0], [0, 1]], F3)
-    assert not is_self_orthogonal(LinearCode.from_matrix_words([eye3], F3, 2, 2))
+    assert not is_self_orthogonal(LinearCode.from_rows([eye3.flatten()], F3, 2, 2))
 
 
 def test_lemma1_pair_identity_examples():
-    E = ext_field(2, 2)
-    basis = find_self_dual_basis(E)
+    E = ExtField(F2, 2, basis=find_self_dual_basis(ext_field(2, 2)))
     z = VectorWord((0, 0), E)
-    assert lemma1_pair_identity(z, z, basis) == (0, 0)
-    a = VectorWord((2, 0), E)  # (w, 0)
-    lhs, rhs = lemma1_pair_identity(a, a, (2, 3))
+    assert lemma1_pair_identity(z, z) == (0, 0)
+    a = VectorWord((2, 0), ExtField(F2, 2, basis=(2, 3)))  # (w, 0)
+    lhs, rhs = lemma1_pair_identity(a, a)
     assert lhs == rhs == 1
     with pytest.raises(ParamError):
-        lemma1_pair_identity(a, a, (1, 2))  # polynomial basis is not self-dual
+        lemma1_pair_identity(VectorWord((2, 0), ext_field(2, 2)), a)  # polynomial basis is not self-dual
 
 
 def test_lemma1_code_level_equivalence():
-    E = ext_field(2, 2)
-    basis = find_self_dual_basis(E)
+    E = ExtField(F2, 2, basis=find_self_dual_basis(ext_field(2, 2)))
     rng = random.Random(61)
     for _ in range(50):
         xs = [VectorWord(tuple(rng.randrange(4) for _ in range(3)), E) for _ in range(2)]
         ys = [VectorWord(tuple(rng.randrange(4) for _ in range(3)), E) for _ in range(2)]
-        vec_orth = all(E.trace(vector_inner_product(x, y)) == 0 and vector_inner_product(x, y) == 0 for x in xs for y in ys)
-        mat_orth = all(
-            trace_inner_product(vec_to_mat(x, basis), vec_to_mat(y, basis)) == 0 for x in xs for y in ys
-        )
+        mat_orth = all(trace_inner_product(vec_to_mat(x), vec_to_mat(y)) == 0 for x in xs for y in ys)
         vec_zero = all(vector_inner_product(x, y) == 0 for x in xs for y in ys)
         # <C1, C2> = {0}  =>  Tr(C1 C2^T) = {0}; and the traced products
         # always agree pairwise.
@@ -244,23 +238,23 @@ def test_lemma1_code_level_equivalence():
             assert mat_orth
         for x in xs:
             for y in ys:
-                l, r = lemma1_pair_identity(x, y, basis)
+                l, r = lemma1_pair_identity(x, y)
                 assert l == r
 
 
 def test_code_file_roundtrip():
     rng = random.Random(71)
-    words = []
-    while len(words) < 2:
+    rows = []
+    while len(rows) < 2:
         w = _random_mw(F3, 2, 3, rng)
         try:
-            words = list(LinearCode.from_matrix_words(list(words) + [w], F3, 2, 3).basis)
+            rows = list(LinearCode.from_rows(rows + [w.flatten()], F3, 2, 3).rows)
         except ParamError:
             continue
-    C = LinearCode.from_matrix_words(words, F3, 2, 3)
+    C = LinearCode.from_rows(rows, F3, 2, 3)
     assert _same_code(load_code(dump_code(C)), C)
     E = ext_field(2, 3)
-    V = LinearCode.from_vector_words([VectorWord((1, 2, 4), E)], E, 3)
+    V = LinearCode.from_rows([(1, 2, 4)], F2, 3, 3, repr="vector", ext=E)
     assert _same_code(load_code(dump_code(V)), V)
 
 
