@@ -2,15 +2,16 @@
 
 Subcommands: construct, dual, verify, ball, roots, selfdual-basis,
 experiment.  Exit codes: 0 success, 1 domain error (single machine-parsable
-line ``error: <code>: <message>`` on stderr), 2 usage error.  The default
-seed is the constant 0, never wall-clock entropy: reruns must be
-byte-identical.
+line ``error: <code>: <message>`` on stderr and nothing on stdout), 2 usage
+error.  The default seed is the constant 0, never wall-clock entropy:
+reruns must be byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import math
 import random
 import sys
@@ -200,11 +201,16 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A command's output is held back until it has finished, so a command
+    # that fails with a domain error writes nothing to stdout.
+    out = io.StringIO()
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        code = _COMMANDS[args.command](args, out)
     except ToolkitError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

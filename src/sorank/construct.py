@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import BudgetError, ParamError
-from .quadforms import from_full_matrix, sample_root, sum_of_squares
+from .quadforms import diagonal_form, from_full_matrix, sample_root, sum_of_squares
 from .words import LinearCode, flat_space
 
 STEP_BUDGET = 10_000
@@ -50,7 +50,14 @@ def _outside_span(F, D, k, rows, draw):
 
 
 def _restricted_form(F, null_basis):
-    """Sum-of-squares pulled back along y -> sum y_t * null_basis[t]."""
+    """Sum-of-squares pulled back along y -> sum y_t * null_basis[t].
+
+    Its full coefficient matrix is the Gram matrix G_st = <v_s, v_t>, folded
+    to G_st + G_ts off the diagonal.  In characteristic 2 that fold is 0, so
+    only the diagonal <v_s, v_s> is computed.
+    """
+    if F.char == 2:
+        return diagonal_form(F, [linalg.dot(F, v, v) for v in null_basis])
     return from_full_matrix(F, [[linalg.dot(F, s, t) for t in null_basis] for s in null_basis])
 
 

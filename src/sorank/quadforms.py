@@ -7,6 +7,12 @@ of the symmetrized coefficient matrix; in characteristic 2 the symmetric
 matrix lies (x1^2 + x2^2 has symmetric-matrix rank 2 but form rank 1), so
 we use the alternating bilinear part plus a separate check of the form on
 its radical.
+
+Roots are listed lazily in ``itertools.product`` order.  A diagonal form in
+characteristic 2 is the square of a linear form, sum a_i x_i^2 =
+(sum sqrt(a_i) x_i)^2, so its roots are a hyperplane: they are enumerated
+directly, one coordinate solved from the others, without evaluating the
+form.  Every other form is evaluated at each point of the space.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .errors import BudgetError, ParamError, SizeError
 BRUTE_LIMIT = 1 << 24
 EXHAUSTIVE_SAMPLE_LIMIT = 1 << 20
 SAMPLE_BUDGET = 100_000
+# Prefixes whose partial sums _diagonal_char2_roots keeps in one block.
+_ROOT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -76,10 +84,15 @@ def from_full_matrix(field, M):
     return QuadraticForm(N, coeffs, field)
 
 
+def diagonal_form(field, diag):
+    """sum_i diag[i] * x_i^2."""
+    N = len(diag)
+    return QuadraticForm(N, tuple(diag[i] if i == j else 0 for i, j in _index_pairs(N)), field)
+
+
 def sum_of_squares(field, N):
     """x_1^2 + ... + x_N^2."""
-    coeffs = [1 if i == j else 0 for i, j in _index_pairs(N)]
-    return QuadraticForm(N, tuple(coeffs), field)
+    return diagonal_form(field, [1] * N)
 
 
 def rank_of_form(f: QuadraticForm) -> int:
@@ -139,12 +152,66 @@ def count_roots_formula(f: QuadraticForm):
 
 
 def iter_roots(f: QuadraticForm, nonzero=False):
-    o = f.field.order
-    for x in itertools.product(range(o), repeat=f.nvars):
+    """The roots of f (optionally without the zero point), lazily, in
+    ``itertools.product`` order."""
+    F = f.field
+    if F.char == 2 and all(i == j for i, j, _ in f._terms):
+        roots = _diagonal_char2_roots(f)
+        if nonzero:
+            next(roots)  # the zero point, always first
+        yield from roots
+        return
+    for x in itertools.product(range(F.order), repeat=f.nvars):
         if nonzero and not any(x):
             continue
         if f.evaluate(x) == 0:
             yield x
+
+
+def _diagonal_char2_roots(f):
+    """Roots of sum a_i x_i^2 = (sum b_i x_i)^2, b_i = sqrt(a_i), in
+    characteristic 2: the hyperplane sum b_i x_i = 0 (everything when f = 0).
+
+    With p the last index where b_p != 0, x_p = sum_{i<p} w_i x_i for
+    w_i = b_i / b_p depends only on earlier coordinates, so running the
+    other coordinates through ``itertools.product`` lists the roots in the
+    same order as the full product scan.  The partial sums over the last
+    prefix coordinates are carried once, for a block of at most _ROOT_BLOCK
+    prefixes; addition in characteristic 2 is XOR of the encodings.
+    """
+    F = f.field
+    o, N = F.order, f.nvars
+    b = [0] * N
+    for i, _, a in f._terms:
+        b[i] = F.pow(a, o // 2)
+    free = range(o)
+    if not any(b):
+        return itertools.product(free, repeat=N)
+    p = N - 1
+    while not b[p]:
+        p -= 1
+    c = F.inv(b[p])
+    w = [F.mul(bi, c) for bi in b[:p]]
+    # The low block is coordinates h..p-1, with o^(p-h) <= _ROOT_BLOCK.
+    h = p
+    while h and o ** (p - h + 1) <= _ROOT_BLOCK:
+        h -= 1
+    sums = [0]  # sum_{h<=i<p} w_i x_i over the low block, in product order
+    for wj in w[h:]:
+        scaled = [F.mul(wj, v) for v in free]
+        sums = [s ^ sv for s in sums for sv in scaled]
+
+    def rows(hi):
+        s = 0
+        for wi, v in zip(w, hi):
+            s ^= F.mul(wi, v)
+        return [hi + lo + (s ^ t,) for lo, t in zip(itertools.product(free, repeat=p - h), sums)]
+
+    heads = itertools.chain.from_iterable(map(rows, itertools.product(free, repeat=h)))
+    tail = N - 1 - p
+    if not tail:
+        return heads
+    return (head + z for head in heads for z in itertools.product(free, repeat=tail))
 
 
 def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT):

@@ -6,6 +6,8 @@ variables, an augmented linear system), so a faster path in ``sorank`` can
 be checked against it.
 """
 
+import itertools
+
 from sorank import linalg
 from sorank.balls import gaussian_binomial
 from sorank.errors import ParamError
@@ -72,3 +74,14 @@ def solve_in_span(F, basis_rows, target):
     for i, pc in enumerate(pivots):
         coeffs[pc] = R[i][k]
     return coeffs
+
+
+def iter_roots_brute(f: QuadraticForm, nonzero=False):
+    """The roots of f in ``itertools.product`` order, by evaluating f at
+    every point of the space."""
+    o = f.field.order
+    for x in itertools.product(range(o), repeat=f.nvars):
+        if nonzero and not any(x):
+            continue
+        if f.evaluate(x) == 0:
+            yield x

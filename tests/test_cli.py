@@ -74,6 +74,15 @@ def test_roots_command():
     assert (x[0] ** 2 + x[1] ** 2) % 5 == 0 and any(x)
 
 
+def test_failing_command_writes_nothing_to_stdout():
+    # The rank and root counts are computed before the sample fails; none of
+    # them may reach stdout.
+    out = run_cli("roots", "--q", "2", "--nvars", "1", "--coeffs", "1", "--sample", "--nonzero")
+    assert out.returncode == 1
+    assert out.stderr == "error: E_PARAM: no root exists (nonzero)\n"
+    assert out.stdout == ""
+
+
 def test_selfdual_basis_command():
     out = run_cli("selfdual-basis", "--q", "2", "--m", "2")
     assert out.returncode == 0

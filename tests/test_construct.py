@@ -149,3 +149,18 @@ def test_budget_errors_name_their_parameters(monkeypatch):
     with pytest.raises(BudgetError) as exc:
         quadforms.sample_root(quadforms.sum_of_squares(F3, 4), random.Random(0), nonzero=True, exhaustive_limit=1)
     assert "budget 0" in str(exc.value) and "(nvars=4, field order 3, nonzero=True)" in str(exc.value)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_char2_restricted_form_is_the_folded_gram(q):
+    # In characteristic 2 only the diagonal <v_s, v_s> is computed; folding
+    # the full Gram matrix must give the same coefficients.
+    F = field_from_q(q)
+    rng = random.Random(q)
+    for D in (3, 5, 8, 11):
+        for _ in range(5):
+            found = so_flat_vectors(F, D, max_so_dimension(D), rng)
+            for j in range(1, len(found) + 1):
+                B = linalg.nullspace(F, found[:j])
+                gram = [[linalg.dot(F, s, t) for t in B] for s in B]
+                assert construct._restricted_form(F, B).coeffs == quadforms.from_full_matrix(F, gram).coeffs

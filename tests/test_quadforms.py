@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from oracles import transform
+from oracles import iter_roots_brute, transform
 from sorank import linalg
 from sorank.errors import ParamError, SizeError
 from sorank.fields import ext_field, field_from_q
@@ -11,6 +13,7 @@ from sorank.quadforms import (
     QuadraticForm,
     count_roots_brute,
     count_roots_formula,
+    diagonal_form,
     from_full_matrix,
     iter_roots,
     rank_of_form,
@@ -91,7 +94,7 @@ def test_formula_matches_brute_force(field, trials=60):
     for _ in range(trials):
         N = rng.randrange(1, 5)
         f = _random_form(field, N, rng)
-        brute = count_roots_brute(f)
+        brute = sum(1 for _ in iter_roots_brute(f))
         assert brute in count_roots_formula(f)
 
 
@@ -120,6 +123,76 @@ def test_transform_is_evaluation_composition():
             for i in range(3)
         )
         assert g.evaluate(x) == f.evaluate(Mx)
+
+
+def _forms_for_root_listing(field, N, rng):
+    """Random diagonal forms, the zero form, the forms whose only nonzero
+    coefficient is the first or the last, and random non-diagonal forms."""
+    ncoef = N * (N + 1) // 2
+    for _ in range(4):
+        yield diagonal_form(field, [rng.randrange(field.order) for _ in range(N)])
+    yield QuadraticForm(N, (0,) * ncoef, field)
+    for k in (0, ncoef - 1):
+        yield QuadraticForm(N, tuple(rng.randrange(1, field.order) if t == k else 0 for t in range(ncoef)), field)
+    for _ in range(3):
+        c = [rng.randrange(field.order) for _ in range(ncoef)]
+        if N > 1:
+            c[1] = rng.randrange(1, field.order)  # the x_0 x_1 term
+        yield QuadraticForm(N, tuple(c), field)
+
+
+ROOT_LISTING_GRID = [(field_from_q(q), N) for q in (2, 3, 4, 5) for N in range(1, 6)] + [
+    (field, N) for field in (field_from_q(8), ext_field(2, 3)) for N in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("field,N", ROOT_LISTING_GRID, ids=lambda v: repr(v))
+def test_iter_roots_matches_full_scan(field, N):
+    # The characteristic-2 diagonal path must list the same roots in the same
+    # order as the scan that evaluates every point; other forms take the scan.
+    rng = random.Random(field.order * 10 + N)
+    for f in _forms_for_root_listing(field, N, rng):
+        for nonzero in (False, True):
+            assert list(iter_roots(f, nonzero)) == list(iter_roots_brute(f, nonzero)), (f.coeffs, nonzero)
+
+
+def test_iter_roots_is_lazy():
+    # 2^21 roots over GF(2)^22; the first thousand must not build the rest.
+    N = 22
+    f = QuadraticForm(N, (1,) + (0,) * (N * (N + 1) // 2 - 1), F2)
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(iter_roots(f), 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+    assert first == list(itertools.islice(iter_roots_brute(f), 1000))
+
+
+# sha256 of 200 nonzero sum-of-squares roots drawn with random.Random(N) and
+# exhaustive_limit=256, recorded while sample_root listed every root by the
+# full scan that oracles.iter_roots_brute keeps.
+SAMPLE_ROOT_STREAMS = {
+    (2, 2): "5194ba0d2daa2f6e1920eb597ac4c4ee33205665dfb182e1097efa194ca6613a",
+    (2, 3): "94858cbd3324636d11fd365ea5cbcf7da98e73fc7e87c2d4335a3095fac0d237",
+    (2, 4): "850d70aa2bcb00565733844a41ad4f41d4f78269811511f7430d1d1ba299438a",
+    (2, 5): "cb8fa85092492892bc20365c630b819e918dcab64a57989f855c1f5bf23414ad",
+    (2, 6): "830302860200bea7ab412f3994085404be661f5702e0936b748cdd314a414024",
+    (2, 7): "d69fe1d64903d97112d6d156315cfecd85997abbc86b6b0df406d1013a59c28d",
+    (2, 8): "f8fbedc5e0ca6a6f8fb679744894b89082d00a901f64dd2c6e5261c85e68e22e",
+    (4, 2): "160ddf874f0d168cb07890cf56c9921d2f6f783ef7bf225cfb0688535d24fb37",
+    (4, 3): "ee618153a735fe306c3b656a5bbf039da17fca39dd68b59aee18f9aa232e69e5",
+    (4, 4): "da6d2b8421fcd860c0316152fa911eb9370ca1b230e4cfb10f7bfdb4a1c07810",
+}
+
+
+@pytest.mark.parametrize("q,N", sorted(SAMPLE_ROOT_STREAMS), ids=str)
+def test_sample_root_streams_pinned(q, N):
+    f = sum_of_squares(field_from_q(q), N)
+    rng = random.Random(N)
+    draws = [sample_root(f, rng, nonzero=True, exhaustive_limit=256) for _ in range(200)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == SAMPLE_ROOT_STREAMS[q, N]
 
 
 def test_sample_root_examples():
