@@ -77,70 +77,51 @@ class BallSpec:
         return ball_size_exact(n, m, q, self.radius)
 
 
+def _rref_shapes(i, m):
+    """Each pivot set of a rank-i RREF with m columns, in
+    ``itertools.combinations`` order, with its free cells (t, j): the
+    entries right of row t's pivot that lie outside the pivot columns."""
+    for pivots in itertools.combinations(range(m), i):
+        free = [(t, j) for t, p in enumerate(pivots) for j in range(p + 1, m) if j not in pivots]
+        yield pivots, free
+
+
+def _rref_rows(pivots, free, values, m):
+    """The RREF matrix of this shape with ``values`` in its free cells."""
+    rows = [[0] * m for _ in pivots]
+    for t, p in enumerate(pivots):
+        rows[t][p] = 1
+    for (t, j), v in zip(free, values):
+        rows[t][j] = v
+    return rows
+
+
 def iter_rref(field, i, m):
     """All i x m matrices in reduced row-echelon form of rank i."""
-    q = field.order
-    if i == 0:
-        yield []
-        return
-    for pivots in itertools.combinations(range(m), i):
-        pivot_set = set(pivots)
-        free_cells = [
-            (t, j) for t in range(i) for j in range(pivots[t] + 1, m) if j not in pivot_set
-        ]
-        template = [[0] * m for _ in range(i)]
-        for t, p in enumerate(pivots):
-            template[t][p] = 1
-        for values in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [row[:] for row in template]
-            for (t, j), v in zip(free_cells, values):
-                rows[t][j] = v
-            yield rows
+    for pivots, free in _rref_shapes(i, m):
+        for values in itertools.product(range(field.order), repeat=len(free)):
+            yield _rref_rows(pivots, free, values, m)
 
 
 def iter_full_colrank(field, n, i):
-    """All n x i matrices of rank i, as lists of i columns (length n)."""
-    q = field.order
-    add, mul = field.add, field.mul
-    all_vecs = list(itertools.product(range(q), repeat=n))
-
-    def extend_span(span, v):
-        out = set(span)
-        for s in span:
-            for c in range(1, q):
-                out.add(tuple(add(a, mul(c, b)) for a, b in zip(s, v)))
-        return out
-
-    def rec(cols, span):
-        if len(cols) == i:
+    """All n x i matrices of rank i, as tuples of i columns (each a tuple of
+    length n), in ``itertools.product`` order of the columns."""
+    columns = list(itertools.product(range(field.order), repeat=n))
+    for cols in itertools.product(columns, repeat=i):
+        if linalg.rank(field, cols) == i:
             yield cols
-            return
-        for v in all_vecs:
-            if v in span:
-                continue
-            yield from rec(cols + [v], extend_span(span, v))
-
-    zero = tuple([0] * n)
-    yield from rec([], {zero})
 
 
 def _assemble(field, cols, rref_rows, center):
     """The word center + A * B, A given by columns, B by RREF rows."""
     add, mul = field.add, field.mul
-    i = len(cols)
-    n, m = center.n, center.m
     out = [list(row) for row in center.entries]
-    for t in range(i):
-        col = cols[t]
-        brow = rref_rows[t]
-        for r in range(n):
-            a = col[r]
-            if not a:
-                continue
-            orow = out[r]
-            for c in range(m):
-                if brow[c]:
-                    orow[c] = add(orow[c], mul(a, brow[c]))
+    for col, brow in zip(cols, rref_rows):
+        for a, orow in zip(col, out):
+            if a:
+                for c, b in enumerate(brow):
+                    if b:
+                        orow[c] = add(orow[c], mul(a, b))
     return MatrixWord(tuple(tuple(row) for row in out), field)
 
 
@@ -158,34 +139,23 @@ def enumerate_ball(spec: BallSpec):
                 yield _assemble(field, cols, rref_rows, center)
 
 
+def _weighted_index(weights, rng):
+    """Index t with probability weights[t] / sum(weights): one randrange."""
+    x = rng.randrange(sum(weights))
+    for t, w in enumerate(weights):
+        if x < w:
+            return t
+        x -= w
+
+
 def _sample_rref(field, i, m, rng):
     """Uniform rank-i RREF matrix: pivot set weighted by its free-cell count."""
-    q = field.order
     if i == 0:
-        return []
-    combos = list(itertools.combinations(range(m), i))
-    weights = []
-    for pivots in combos:
-        pivot_set = set(pivots)
-        nfree = sum(
-            1 for t in range(i) for j in range(pivots[t] + 1, m) if j not in pivot_set
-        )
-        weights.append(q**nfree)
-    total = sum(weights)
-    t = rng.randrange(total)
-    acc = 0
-    for pivots, w in zip(combos, weights):
-        acc += w
-        if t < acc:
-            break
-    pivot_set = set(pivots)
-    rows = [[0] * m for _ in range(i)]
-    for r, p in enumerate(pivots):
-        rows[r][p] = 1
-        for j in range(p + 1, m):
-            if j not in pivot_set:
-                rows[r][j] = rng.randrange(q)
-    return rows
+        return []  # no draw at all, not even the randrange(1) of one shape
+    q = field.order
+    shapes = list(_rref_shapes(i, m))
+    pivots, free = shapes[_weighted_index([q ** len(free) for _, free in shapes], rng)]
+    return _rref_rows(pivots, free, [rng.randrange(q) for _ in free], m)
 
 
 def sample_from_ball(spec: BallSpec, rng) -> MatrixWord:
@@ -193,16 +163,10 @@ def sample_from_ball(spec: BallSpec, rng) -> MatrixWord:
     uniform column-space factor and uniform full-column-rank coefficients."""
     q, n, m = spec.params
     field = spec.center.field
-    counts = [rank_stratum_count(n, m, q, i) for i in range(spec.radius + 1)]
-    t = rng.randrange(sum(counts))
-    acc = 0
-    for i, c in enumerate(counts):
-        acc += c
-        if t < acc:
-            break
+    i = _weighted_index([rank_stratum_count(n, m, q, i) for i in range(spec.radius + 1)], rng)
     rref_rows = _sample_rref(field, i, m, rng)
     while True:
         cols = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(i)]
-        if linalg.rank(field, [list(c) for c in cols]) == i:
+        if linalg.rank(field, cols) == i:
             break
     return _assemble(field, cols, rref_rows, spec.center)

@@ -15,6 +15,7 @@ import io
 import math
 import random
 import sys
+import typing
 
 from . import balls, construct, experiments, words
 from .errors import FormatError, ParamError, ToolkitError
@@ -157,19 +158,17 @@ def _parse_config(path):
                 data[key] = val
     except OSError as exc:
         raise FormatError(f"cannot read config: {exc}") from exc
-    known = {
-        "q": int, "n": int, "m": int, "tau": float, "epsilon": float,
-        "trials": int, "seed": int, "repr": str, "ensemble": str,
-    }
+    schema = typing.get_type_hints(experiments.ExperimentConfig)
     parsed = {}
     for key, val in data.items():
-        if key not in known:
+        if key not in schema:
             raise FormatError(f"unknown config key {key!r}")
         try:
-            parsed[key] = known[key](val)
+            parsed[key] = schema[key](val)
         except ValueError as exc:
             raise FormatError(f"bad value for {key!r}: {val!r}") from exc
-    missing = [k for k in ("q", "n", "m", "tau", "epsilon", "trials") if k not in parsed]
+    required = [f.name for f in dataclasses.fields(experiments.ExperimentConfig) if f.default is dataclasses.MISSING]
+    missing = [k for k in required if k not in parsed]
     if missing:
         raise FormatError("missing config keys: " + ", ".join(missing))
     return experiments.ExperimentConfig(**parsed)

@@ -6,8 +6,10 @@ or F = GF(q^m) on n coordinates) with all standard dot products
 <v_i, v_j> = 0.  The first vector is a nonzero root of the sum-of-squares
 form; each later step parameterizes the solution space of the accumulated
 linear orthogonality equations by a nullspace basis, substitutes it into
-the sum-of-squares form, samples a root of the reduced form and maps it
-back, rejecting candidates that fall inside the current span.  The
+the sum-of-squares form (whose coefficients come from the upper triangle of
+the basis's Gram matrix, one expression for every characteristic), samples
+a root of the reduced form and maps it back, rejecting candidates that fall
+inside the current span.  The
 dimension cap is (D-1)/2 for ambient dimension D.
 
 The three ensembles the experiments compare (self-orthogonal codes, the
@@ -17,9 +19,11 @@ the same way, through ``_outside_span``.
 
 from __future__ import annotations
 
+import itertools
+
 from . import linalg
 from .errors import BudgetError, ParamError
-from .quadforms import diagonal_form, from_full_matrix, sample_root, sum_of_squares
+from .quadforms import QuadraticForm, sample_root, sum_of_squares
 from .words import LinearCode, flat_space
 
 STEP_BUDGET = 10_000
@@ -52,13 +56,20 @@ def _outside_span(F, D, k, rows, draw):
 def _restricted_form(F, null_basis):
     """Sum-of-squares pulled back along y -> sum y_t * null_basis[t].
 
-    Its full coefficient matrix is the Gram matrix G_st = <v_s, v_t>, folded
-    to G_st + G_ts off the diagonal.  In characteristic 2 that fold is 0, so
-    only the diagonal <v_s, v_s> is computed.
+    With G_st = <v_s, v_t> the Gram matrix of the null basis, the
+    coefficient of y_s^2 is G_ss and that of y_s y_t (s < t) is
+    G_st + G_ts = 2 G_st.  Only this upper triangle is computed, and in
+    characteristic 2, where 2 = 0, only its diagonal.
     """
-    if F.char == 2:
-        return diagonal_form(F, [linalg.dot(F, v, v) for v in null_basis])
-    return from_full_matrix(F, [[linalg.dot(F, s, t) for t in null_basis] for s in null_basis])
+    two = F.add(1, 1)
+
+    def coeff(s, t):
+        if s == t:
+            return linalg.dot(F, null_basis[s], null_basis[s])
+        return F.mul(two, linalg.dot(F, null_basis[s], null_basis[t])) if two else 0
+
+    d = len(null_basis)
+    return QuadraticForm(d, tuple(coeff(s, t) for s, t in itertools.combinations_with_replacement(range(d), 2)), F)
 
 
 def so_flat_vectors(F, D, k, rng):

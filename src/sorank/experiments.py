@@ -28,7 +28,6 @@ from .words import (
     flat_space,
     is_self_orthogonal,
     rank_distance,
-    vec_to_mat,
     word_rank,
 )
 
@@ -87,15 +86,17 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     """|B_R(center, r) cap code|, by whichever enumeration is smaller."""
     if not 0 <= r <= code.n:
         raise ParamError(f"radius {r} out of range")
+    if isinstance(center, MatrixWord) != (code.repr == "matrix"):
+        raise ParamError("mixed representations")
+    rows = code.matrix_rows(center)  # also rejects a center over another field
     lin_order = code.lin_field().order
     code_size = lin_order**code.k
     bsize = ball_size_exact(code.n, code.m, code.q, r) if code.n <= code.m else None
     if code_size <= ENUM_LIMIT and (bsize is None or code_size <= bsize):
         return sum(1 for w in code.iter_words() if rank_distance(center, w) <= r)
     if bsize is not None and bsize <= ENUM_LIMIT:
-        if code.repr == "vector":
-            center = vec_to_mat(center)
-        return sum(1 for w in enumerate_ball(BallSpec(center, r)) if code.contains(w))
+        ball = BallSpec(MatrixWord(tuple(rows), code.field), r)
+        return sum(1 for w in enumerate_ball(ball) if code.contains(w))
     raise SizeError("both the code and the ball are too large to enumerate")
 
 

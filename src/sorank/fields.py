@@ -144,7 +144,7 @@ class _PrimeOps:
 class _PackedField:
     """Common machinery for GF(p^e) and GF(q^m): packed encoding + tables."""
 
-    def __init__(self, scalar, deg, modulus=None):
+    def __init__(self, scalar, deg):
         if deg < 1:
             raise ParamError("extension degree must be >= 1")
         order = scalar.order**deg
@@ -154,15 +154,7 @@ class _PackedField:
         self.deg = deg
         self.order = order
         self.char = scalar.char
-        if modulus is None:
-            modulus = self._least_irreducible(scalar, deg)
-        else:
-            modulus = list(modulus)
-            if len(modulus) != deg + 1 or modulus[-1] != 1:
-                raise ParamError("modulus must be monic of the stated degree")
-            if not _poly_is_irreducible(modulus, scalar):
-                raise ParamError("modulus is reducible")
-        self.modulus = tuple(modulus)
+        self.modulus = tuple(self._least_irreducible(scalar, deg))
         self._build_tables()
 
     @staticmethod
@@ -282,10 +274,10 @@ class _PackedField:
 class Field(_PackedField):
     """GF(p^e) for prime p, elements encoded as ints in [0, p^e)."""
 
-    def __init__(self, p, e=1, modulus=None):
+    def __init__(self, p, e=1):
         if not is_prime(p):
             raise ParamError(f"characteristic {p} is not prime")
-        super().__init__(_PrimeOps(p), e, modulus)
+        super().__init__(_PrimeOps(p), e)
         self.p = p
         self.e = e
         self.q = self.order
@@ -297,13 +289,13 @@ class Field(_PackedField):
 class ExtField(_PackedField):
     """GF(q^m) built on a base Field for GF(q).
 
-    Elements encode their coefficients over the polynomial basis of the
-    chosen modulus, base q.  A different working basis may be attached for
-    coordinate maps; the default is the polynomial basis.
+    Elements encode their coefficients base q over the polynomial basis of
+    the deterministic modulus, which (q, m) alone fixes.  Another basis may
+    be attached for coordinate maps; the default is the polynomial basis.
     """
 
-    def __init__(self, base: Field, m, modulus=None, basis=None):
-        super().__init__(base, m, modulus)
+    def __init__(self, base: Field, m, basis=None):
+        super().__init__(base, m)
         self.base = base
         self.m = m
         self.q = base.order

@@ -51,9 +51,8 @@ class QuadraticForm:
         o = self.field.order
         if any(not 0 <= c < o for c in self.coeffs):
             raise ParamError("coefficient out of range")
-        object.__setattr__(
-            self, "_terms", tuple((i, j, a) for (i, j), a in zip(_index_pairs(N), self.coeffs) if a)
-        )
+        pairs = itertools.combinations_with_replacement(range(N), 2)
+        object.__setattr__(self, "_terms", tuple((i, j, a) for (i, j), a in zip(pairs, self.coeffs) if a))
 
     def is_zero(self):
         return not self._terms
@@ -71,23 +70,10 @@ class QuadraticForm:
         return s
 
 
-def _index_pairs(N):
-    for i in range(N):
-        for j in range(i, N):
-            yield i, j
-
-
-def from_full_matrix(field, M):
-    """Fold a full coefficient matrix (f = x^T M x) upper-triangular."""
-    N = len(M)
-    coeffs = tuple(M[i][i] if i == j else field.add(M[i][j], M[j][i]) for i, j in _index_pairs(N))
-    return QuadraticForm(N, coeffs, field)
-
-
 def diagonal_form(field, diag):
     """sum_i diag[i] * x_i^2."""
-    N = len(diag)
-    return QuadraticForm(N, tuple(diag[i] if i == j else 0 for i, j in _index_pairs(N)), field)
+    pairs = itertools.combinations_with_replacement(range(len(diag)), 2)
+    return QuadraticForm(len(diag), tuple(diag[i] if i == j else 0 for i, j in pairs), field)
 
 
 def sum_of_squares(field, N):

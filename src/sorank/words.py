@@ -106,7 +106,9 @@ def rank_distance(X, Y):
     if isinstance(X, MatrixWord) != isinstance(Y, MatrixWord):
         raise ParamError("mixed representations")
     F, xs = _base_rows(X)
-    ys = _base_rows(Y)[1]
+    G, ys = _base_rows(Y)
+    if F.order != G.order:
+        raise ParamError(f"words over {X.field!r} and {Y.field!r}")
     if (len(xs), len(xs[0])) != (len(ys), len(ys[0])):
         raise ParamError("dimension mismatch")
     return linalg.rank(F, [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(xs, ys)])
@@ -250,17 +252,28 @@ class LinearCode:
             rows.extend(tuple(d[t] for d in digits) for t in range(self.m))
         return tuple(rows)
 
-    def contains(self, word):
-        """Membership by syndrome against ``parity_check``.  Takes a word in
-        either representation; a vector word is read through its
-        attached-basis expansion, the matrix ``vec_to_mat`` gives."""
+    def matrix_rows(self, word):
+        """The n x m rows over GF(q) that ``parity_check`` reads for a word in
+        either representation: a matrix word's entries, or a vector word's
+        coordinates over the code's attached basis (over the word's own for a
+        matrix code).  A word over another GF(q) or GF(q^m), or of another
+        shape, raises ParamError."""
         if isinstance(word, MatrixWord):
-            entries = word.entries
+            if word.field.order != self.field.order:
+                raise ParamError(f"word over {word.field!r} for a code over GF({self.q})")
+            rows = word.entries
         else:
-            entries = [word.field.coords(c) for c in word.coords]
-        if (len(entries), len(entries[0])) != (self.n, self.m):
+            if (word.field.q, word.field.m) != (self.q, self.m):
+                raise ParamError(f"word over {word.field!r} for a code over GF({self.q}^{self.m})")
+            rows = [(self.ext or word.field).coords(c) for c in word.coords]
+        if (len(rows), len(rows[0])) != (self.n, self.m):
             raise ParamError("dimension mismatch")
-        x = [v for row in entries for v in row]
+        return rows
+
+    def contains(self, word):
+        """Membership by syndrome against ``parity_check``, of the word's
+        ``matrix_rows``."""
+        x = [v for row in self.matrix_rows(word) for v in row]
         F = self.field
         return not any(linalg.dot(F, h, x) for h in self.parity_check)
 

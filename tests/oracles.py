@@ -11,7 +11,7 @@ import itertools
 from sorank import linalg
 from sorank.balls import gaussian_binomial
 from sorank.errors import ParamError
-from sorank.quadforms import QuadraticForm, from_full_matrix
+from sorank.quadforms import QuadraticForm
 from sorank.words import VectorWord, trace_inner_product, vec_to_mat, vector_inner_product
 
 
@@ -27,6 +27,15 @@ def check_gb_bounds(n, k, q):
     v = gaussian_binomial(n, k, q)
     lo = q ** (k * (n - k))
     return lo <= v <= 4 * lo
+
+
+def from_full_matrix(field, M):
+    """The form x^T M x, folded upper-triangular: a_ii = M_ii and
+    a_ij = M_ij + M_ji for i < j."""
+    N = len(M)
+    pairs = itertools.combinations_with_replacement(range(N), 2)
+    coeffs = tuple(M[i][i] if i == j else field.add(M[i][j], M[j][i]) for i, j in pairs)
+    return QuadraticForm(N, coeffs, field)
 
 
 def transform(f: QuadraticForm, M):

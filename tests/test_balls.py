@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -144,3 +145,87 @@ def test_sample_from_ball_uniformity():
     for _ in range(20_000):
         counts[sample_from_ball(spec, rng)] += 1
     assert stats.chisquare(list(counts.values())).pvalue > 0.001
+
+
+# (q, n, m, r) -> sha256 of the repr of three lists: iter_full_colrank(F, n, r)
+# as tuples of column tuples, the entries of every word enumerate_ball yields, and the entries of 300
+# sample_from_ball draws with random.Random(1000q + 100n + 10m + r).  The
+# center's entry (i, j) is (i + 2j) mod q.  Recorded while the full-rank
+# factors came from a recursive span search and the RREF shapes and weighted
+# draws were written out separately in each caller.
+BALL_STREAMS = {
+    (2, 1, 1, 0): (
+        "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+        "4ac279b94d8c735ee76858c2b50da00526af1f31a8c2e829581bbbeae1fea620",
+        "2a3241af9c6575288de102583c920278aac065494904e1bb79386b62b2d9462c",
+    ),
+    (2, 2, 2, 0): (
+        "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+        "1cfa10e55370445f90dcc93c9acae5e8341842d46ae32aeb104ec8cdbca1a2bc",
+        "ed1ca8b48bb0796ba145172961edbf90f9de93675c5f43c9ca5ef8ad12e4530a",
+    ),
+    (2, 2, 2, 1): (
+        "1ca2f26f3823786ff8131c3a29aedaf4fd815f106fbf91ccf6d7603dea979167",
+        "d60d9264cb847b2090a9dd0c59ca698881ba68df73f9c4ee15b1e1c2e6b8e2b9",
+        "5d6862dde156bfbad2ee12345a617e240a1e3bcdce6ac77bb9703aa4cfd9056b",
+    ),
+    (2, 2, 3, 2): (
+        "c253f5c6fc7202a8dca6fa3b2d46787d4a941794cbb770944bd223b4454eca23",
+        "7bd135c7b7582d3c683f132d5bda83519f58472feeda5fb67ca3ef364ede84cc",
+        "e7d9557a73a73b4a4d09b3c03b8114bf273d6159d53927507b07f0dd43324a15",
+    ),
+    (2, 3, 3, 1): (
+        "0639e34358e1c3cc27c32e47547c7400af5c5220b9530f3daf295decc347d3c7",
+        "4da2c5c8a026d36fdd94663ab06952c50699db8b21a2c7429a4bf003d7283cb7",
+        "bc30abb560612d59e63f65d01d5de814967ff5e9bb1c90109f55083ad26466b5",
+    ),
+    (2, 3, 4, 2): (
+        "5d5cb934ac001c8c45daf2300e2d6b5d1674c135d42ef5b8987ed6433330a089",
+        "287cf902233dfbde3bddab0a2a1fbb71a42645fa7906649b6fe2529b196c4a53",
+        "0c86d49f586dc5775440507b562033ee589b121493f22f446890aa6f8175c124",
+    ),
+    (3, 2, 2, 1): (
+        "4c3f447ad205c9ef0e5410b398744da264ab8c2ce2ad0bfad8e5d07e513844db",
+        "3d5c635dcb3efff1fbbb17de9cbca0311f3441d2dfd7548d423dfe5c0acad57b",
+        "5b03ac345d84d79f177eab2d7d11eda9df2dce4b49c23099095bd1fac23c7052",
+    ),
+    (3, 2, 3, 2): (
+        "17b52ae1bdc9d5c1e5301e876ae0adcdb5384d9c47897521552efffb009d1c03",
+        "fe371908e9c6c7e7bef343e2dc82dde42ee2c40bae8b89d4393d43b82fa21d81",
+        "1ec8cee3db860ac7f26971f38287b9cd8046b0d6227b9b480f06b07999e588db",
+    ),
+    (3, 3, 3, 3): (
+        "d049f5d85546269395ab6e405bde053a3ed5a03fafc7eae1faf7169467590489",
+        "24586381ce4970914fdd6a6acb0ef265c31cacf86383aa8dd20bb02ff2326ab7",
+        "45a7366375c55edcc4e3ad79eb2ed0848f7edb7f67f230280ff30e80143ea377",
+    ),
+    (4, 2, 2, 1): (
+        "708609fc22b96ad5fe4fa1803e4e8ef751f606ca311a3124813fac4e41daa7ac",
+        "628be91b952fb0cdf697488a941d9d4ec82b4203538daa246e72c60d8f6dc4c0",
+        "5d75d8c03d4f39c543aa4f71813db4277115614dad3ee94464367a336c244058",
+    ),
+    (4, 2, 3, 2): (
+        "44566ecb52521bb0bb0a38144c703f460283bd20b3b90a39766842e3ad2f32ff",
+        "159bb5c6db2412951e319d517f3bb6c8888a8774c90d765bd1d4d97d705abdeb",
+        "445980d86d7c0051cf8b7f62c0459bbd1f96a62af009b5806f5e3d6d34ebbd0b",
+    ),
+    (5, 2, 2, 1): (
+        "1b788da41dd3a00d6d608a4604c9bf6952eabd9fe38d3ab26574c07ab420384e",
+        "42c576c22fb8685acbb1c5e4f3989b62a1833b3e142e9bedeb0f84117627d16b",
+        "fa9f00377cbdda1e0dec3fed22158789e143165038fad2ab98fdfa20275c49d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("q,n,m,r", sorted(BALL_STREAMS))
+def test_ball_streams_pinned(q, n, m, r):
+    F = field_from_q(q)
+    spec = BallSpec(MatrixWord(tuple(tuple((i + 2 * j) % q for j in range(m)) for i in range(n)), F), r)
+    rng = random.Random(1000 * q + 100 * n + 10 * m + r)
+    outputs = (
+        [tuple(map(tuple, cols)) for cols in iter_full_colrank(F, n, r)],
+        [w.entries for w in enumerate_ball(spec)],
+        [sample_from_ball(spec, rng).entries for _ in range(300)],
+    )
+    got = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in outputs)
+    assert got == BALL_STREAMS[q, n, m, r]

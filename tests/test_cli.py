@@ -132,6 +132,12 @@ def test_experiment_config_errors(tmp_path):
     assert out.stdout == ""
     cfg.write_text("q=2\nn=2\n")
     out = run_cli("experiment", "--config", str(cfg))
-    assert out.returncode == 1 and "missing" in out.stderr
+    assert out.returncode == 1 and out.stderr == "error: E_FORMAT: missing config keys: m, tau, epsilon, trials\n"
+    cfg.write_text("q=2\nn=2\nm=4\ntau=0.5\nepsilon=0.1\ntrials=many\n")
+    out = run_cli("experiment", "--config", str(cfg))
+    assert out.returncode == 1 and out.stderr == "error: E_FORMAT: bad value for 'trials': 'many'\n"
+    cfg.write_text("q=2\nn=2\nm=4\ntau=0.5\nepsilon=0.1\ntrials=5\njunk\n")
+    out = run_cli("experiment", "--config", str(cfg))
+    assert out.returncode == 1 and out.stderr == "error: E_FORMAT: bad config line: 'junk'\n"
     out = run_cli("experiment", "--config", str(tmp_path / "absent.cfg"))
     assert out.returncode == 1 and out.stderr.startswith("error: E_FORMAT:")

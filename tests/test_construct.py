@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import from_full_matrix
 from sorank import construct, linalg, quadforms
 from sorank.construct import (
     max_so_dimension,
@@ -151,10 +152,11 @@ def test_budget_errors_name_their_parameters(monkeypatch):
     assert "budget 0" in str(exc.value) and "(nvars=4, field order 3, nonzero=True)" in str(exc.value)
 
 
-@pytest.mark.parametrize("q", [2, 4])
-def test_char2_restricted_form_is_the_folded_gram(q):
-    # In characteristic 2 only the diagonal <v_s, v_s> is computed; folding
-    # the full Gram matrix must give the same coefficients.
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_restricted_form_is_the_folded_gram(q):
+    # Only the upper triangle of the Gram matrix is computed, and in
+    # characteristic 2 only its diagonal; folding the full Gram matrix must
+    # give the same coefficients.
     F = field_from_q(q)
     rng = random.Random(q)
     for D in (3, 5, 8, 11):
@@ -163,4 +165,4 @@ def test_char2_restricted_form_is_the_folded_gram(q):
             for j in range(1, len(found) + 1):
                 B = linalg.nullspace(F, found[:j])
                 gram = [[linalg.dot(F, s, t) for t in B] for s in B]
-                assert construct._restricted_form(F, B).coeffs == quadforms.from_full_matrix(F, gram).coeffs
+                assert construct._restricted_form(F, B).coeffs == from_full_matrix(F, gram).coeffs

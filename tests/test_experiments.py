@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -166,6 +167,39 @@ def test_contains_matches_solve_in_span(case):
     assert all(code.contains(w) for w in inside)
     with pytest.raises(ParamError):
         code.contains(MatrixWord.zero(code.field, code.n, code.m + 1))
+
+
+def test_vector_words_read_over_the_code_basis():
+    # A vector word may carry another ExtField object for the code's GF(q^m),
+    # with another attached basis: its coordinates are the same field
+    # elements, so membership and list size must not depend on that basis.
+    pairs = ((ext_field(2, 3), E8_NONPOLY), (E8_NONPOLY, ext_field(2, 3)))
+    for seed, (ext, other) in itertools.product(range(3), pairs):
+        rng = random.Random(seed)
+        code = _random_code(2, 3, 3, 2, ext, rng)
+        words = list(code.iter_words())
+        for x in itertools.product(range(8), repeat=3):
+            assert code.contains(VectorWord(x, other)) == code.contains(VectorWord(x, ext))
+        for _ in range(20):
+            c = VectorWord(tuple(rng.randrange(8) for _ in range(3)), other)
+            for r in range(4):
+                assert list_size_at(code, c, r) == sum(1 for w in words if rank_distance(c, w) <= r)
+
+
+def test_list_size_rejects_a_center_that_does_not_fit():
+    gf2 = LinearCode.from_rows([[1, 0, 1, 1]], F2, 2, 2)
+    gf4 = LinearCode.from_rows([[1, 2]], F2, 2, 2, repr="vector", ext=ext_field(2, 2))
+    cases = [
+        (gf2, MatrixWord(((1, 0), (1, 1)), field_from_q(3))),
+        (gf2, MatrixWord(((1, 0), (1, 3)), field_from_q(4))),
+        (gf4, VectorWord((1, 2), ext_field(3, 2))),
+        (gf4, VectorWord((1, 2), ext_field(4, 2))),
+        (gf4, MatrixWord(((1, 0), (0, 1)), F2)),  # a matrix center for a vector code
+    ]
+    for code, center in cases:
+        for r in range(3):
+            with pytest.raises(ParamError):
+                list_size_at(code, center, r)
 
 
 def test_experiment_config_validation():

@@ -27,8 +27,6 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ParamError):
         Field(4)  # not prime
     with pytest.raises(ParamError):
-        Field(2, 2, [0, 1, 1])  # not monic... leading coeff is 1 but x^2+x reducible
-    with pytest.raises(ParamError):
         field_from_q(6)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import iter_roots_brute, transform
+from oracles import from_full_matrix, iter_roots_brute, transform
 from sorank import linalg
 from sorank.errors import ParamError, SizeError
 from sorank.fields import ext_field, field_from_q
@@ -14,7 +14,6 @@ from sorank.quadforms import (
     count_roots_brute,
     count_roots_formula,
     diagonal_form,
-    from_full_matrix,
     iter_roots,
     rank_of_form,
     sample_root,

@@ -66,6 +66,24 @@ def test_rank_distance_metric_axioms():
         assert rank_distance(X, Z) <= rank_distance(X, Y) + rank_distance(Y, Z)
 
 
+def test_words_over_another_field_are_rejected():
+    code = LinearCode.from_rows([[1, 0, 1, 1]], F2, 2, 2)
+    vcode = LinearCode.from_rows([[1, 2]], F2, 2, 2, repr="vector", ext=ext_field(2, 2))
+    foreign = [_mw([[1, 0], [1, 1]], F3), _mw([[1, 0], [1, 3]], field_from_q(4))]
+    for w in foreign:
+        with pytest.raises(ParamError):
+            code.contains(w)
+        with pytest.raises(ParamError):
+            rank_distance(_mw([[0, 0], [0, 0]]), w)
+        with pytest.raises(ParamError):
+            rank_distance(w, _mw([[0, 0], [0, 0]]))
+    for w in (VectorWord((1, 2), ext_field(3, 2)), VectorWord((1, 2), ext_field(4, 2))):
+        with pytest.raises(ParamError):
+            vcode.contains(w)
+        with pytest.raises(ParamError):
+            rank_distance(VectorWord((0, 0), ext_field(2, 2)), w)
+
+
 def test_trace_inner_product_examples():
     eye2 = _mw([[1, 0], [0, 1]])
     assert trace_inner_product(MatrixWord.zero(F2, 2, 2), eye2) == 0
