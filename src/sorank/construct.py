@@ -94,7 +94,7 @@ def so_code(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
     """A k-dimensional self-orthogonal code (k = 0 gives the zero code)."""
     F, D = flat_space(repr, field, ext, n, m)
     rows = so_flat_vectors(F, D, k, rng) if k else []
-    return LinearCode.from_rows(rows, field, n, m, repr, ext)
+    return LinearCode(rows, field or ext.base, n, m, ext)
 
 
 def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
@@ -113,7 +113,7 @@ def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode
         raise ParamError(f"k-1={k - 1} exceeds the construction limit {max_so_dimension(D)}")
     rows = so_flat_vectors(F, D, k - 1, rng) if k >= 2 else []
     rows.append(_outside_span(F, D, k, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
-    return LinearCode.from_rows(rows, field, n, m, repr, ext)
+    return LinearCode(rows, field or ext.base, n, m, ext)
 
 
 def uniform_linear_code(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
@@ -125,4 +125,4 @@ def uniform_linear_code(field, n, m, k, rng, repr="matrix", ext=None) -> LinearC
     rows = []
     while len(rows) < k:
         rows.append(_outside_span(F, D, k, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
-    return LinearCode.from_rows(rows, field, n, m, repr, ext)
+    return LinearCode(rows, field or ext.base, n, m, ext)

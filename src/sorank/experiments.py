@@ -25,7 +25,6 @@ from .words import (
     LinearCode,
     MatrixWord,
     VectorWord,
-    flat_space,
     is_self_orthogonal,
     rank_distance,
     word_rank,
@@ -50,11 +49,13 @@ def dimension_from_rate(R, n, m, repr="matrix"):
     self-orthogonal construction limit."""
     if not 0 <= R <= 0.5:
         raise ParamError("rate must lie in [0, 1/2] for self-orthogonal codes")
-    D = flat_space(repr, None, None, n, m)[1]
-    # R * (D // n) * n is R * m * n for matrix codes and R * n for vector
-    # codes; R * D would round differently and move k at some parameters.
-    k = int(math.floor(R * (D // n) * n))
-    return min(k, max_so_dimension(D))
+    per_coord = {"matrix": m, "vector": 1}.get(repr)
+    if per_coord is None:
+        raise ParamError(f"unknown representation {repr!r}")
+    # R * m * n for matrix codes and R * n for vector codes, multiplied in
+    # this order; R * D would round differently and move k at some parameters.
+    k = int(math.floor(R * per_coord * n))
+    return min(k, max_so_dimension(per_coord * n))
 
 
 # -- deterministic per-trial RNG streams ------------------------------------
@@ -89,8 +90,7 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     if isinstance(center, MatrixWord) != (code.repr == "matrix"):
         raise ParamError("mixed representations")
     rows = code.matrix_rows(center)  # also rejects a center over another field
-    lin_order = code.lin_field().order
-    code_size = lin_order**code.k
+    code_size = code.lin_field().order ** code.k
     bsize = ball_size_exact(code.n, code.m, code.q, r) if code.n <= code.m else None
     if code_size <= ENUM_LIMIT and (bsize is None or code_size <= bsize):
         return sum(1 for w in code.iter_words() if rank_distance(center, w) <= r)
@@ -194,9 +194,8 @@ def _draw_code(cfg: ExperimentConfig, k, rng):
 
 def _uniform_center(cfg: ExperimentConfig, rng):
     if cfg.repr == "matrix":
-        field = field_from_q(cfg.q)
         rows = tuple(tuple(rng.randrange(cfg.q) for _ in range(cfg.m)) for _ in range(cfg.n))
-        return MatrixWord(rows, field)
+        return MatrixWord(rows, field_from_q(cfg.q))
     ext = ext_field(cfg.q, cfg.m)
     return VectorWord(tuple(rng.randrange(ext.order) for _ in range(cfg.n)), ext)
 
@@ -248,19 +247,13 @@ class EventEstimate:
 
 def span_ball_overlap(words, radius):
     """|span{X_1..X_l} cap B_R(0, radius)| by enumerating the span."""
-    field = words[0].field
+    field, n, m = words[0].field, words[0].n, words[0].m
     flats = [w.flatten() for w in words]
     seen = {
         tuple(linalg.combine(field, coeffs, flats))
         for coeffs in itertools.product(range(field.order), repeat=len(flats))
     }
-    n, m = words[0].n, words[0].m
-    count = 0
-    for v in seen:
-        rows = [list(v[i * m : (i + 1) * m]) for i in range(n)]
-        if linalg.rank(field, rows) <= radius:
-            count += 1
-    return count
+    return sum(1 for v in seen if linalg.rank(field, [v[i * m : (i + 1) * m] for i in range(n)]) <= radius)
 
 
 def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed, z=1.96) -> EventEstimate:

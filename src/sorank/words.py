@@ -5,7 +5,9 @@ A rank-metric codeword lives either as an n x m matrix over GF(q)
 over GF(q^m)).  The two pictures are glued by expanding each vector
 coordinate over a basis of the extension; with a self-dual basis the trace
 inner product of matrices and the traced vector inner product agree
-pairwise.
+pairwise.  A ``LinearCode`` is its k flat rows over the field it is linear
+over; word objects are built only for single words: the caller's, the
+basis, ``iter_words`` and ball enumeration.
 """
 
 from __future__ import annotations
@@ -33,14 +35,19 @@ class MatrixWord:
     field: Field = dc_field(repr=False)
 
     def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
+        entries = self.entries
+        if len(entries) == 0:
             raise ParamError("empty matrix word")
-        m = len(self.entries[0])
+        m = len(entries[0])
         q = self.field.order
-        for row in self.entries:
-            if len(row) != m or any(not 0 <= v < q for v in row):
+        as_tuples = type(entries) is tuple
+        for row in entries:
+            if type(row) is not tuple:
+                as_tuples = False
+            if len(row) != m or (m and (min(row) < 0 or max(row) >= q)):
                 raise ParamError("malformed matrix word")
+        if not as_tuples:  # equal to and hashable like the word built from tuples
+            object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
 
     @property
     def n(self):
@@ -57,8 +64,7 @@ class MatrixWord:
     def from_flat(cls, flat, field, n, m):
         if len(flat) != n * m:
             raise ParamError(f"flat word of length {len(flat)} for a {n} x {m} matrix")
-        rows = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
-        return cls(rows, field)
+        return cls(tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n)), field)
 
     @classmethod
     def zero(cls, field, n, m):
@@ -75,6 +81,8 @@ class VectorWord:
     def __post_init__(self):
         if len(self.coords) == 0:
             raise ParamError("empty vector word")
+        if type(self.coords) is not tuple:
+            object.__setattr__(self, "coords", tuple(self.coords))
         o = self.field.order
         if any(not 0 <= v < o for v in self.coords):
             raise ParamError("malformed vector word")
@@ -82,9 +90,6 @@ class VectorWord:
     @property
     def n(self):
         return len(self.coords)
-
-    def flatten(self):
-        return self.coords
 
 
 def _base_rows(w):
@@ -132,101 +137,88 @@ def mat_to_vec(X: MatrixWord, ext: ExtField) -> VectorWord:
     """Row i of X holds the attached-basis coordinates of vector coordinate i."""
     if X.m != ext.m or X.field.order != ext.q:
         raise ParamError("matrix shape does not match the extension")
-    coords = tuple(ext.from_coords(row) for row in X.entries)
-    return VectorWord(coords, ext)
+    return VectorWord(tuple(ext.from_coords(row) for row in X.entries), ext)
 
 
 def vec_to_mat(x: VectorWord) -> MatrixWord:
-    ext = x.field
-    rows = tuple(ext.coords(c) for c in x.coords)
-    return MatrixWord(rows, ext.base)
+    return MatrixWord(tuple(x.field.coords(c) for c in x.coords), x.field.base)
 
 
 def flat_space(repr, field, ext, n, m):
     """(F, D): a code in this representation is spanned by rows of length D
-    over F with the standard dot product.  'matrix' codes are GF(q)-linear
-    on row-major n x m matrices (F = field, D = nm); 'vector' codes are
-    GF(q^m)-linear on length-n vectors (F = ext, D = n)."""
-    if repr == "matrix":
-        return field, n * m
-    if repr == "vector":
-        return ext, n
-    raise ParamError(f"unknown representation {repr!r}")
+    over F with the standard dot product: GF(q)-linear 'matrix' codes on
+    row-major n x m matrices (F = field, D = nm, no ``ext``), GF(q^m)-linear
+    'vector' codes on length-n vectors over ``ext`` (F = ext, D = n)."""
+    if repr not in ("matrix", "vector") or (ext is None) != (repr == "matrix"):
+        raise ParamError(f"representation {repr!r} with extension field {ext!r}")
+    return (field, n * m) if ext is None else (ext, n)
 
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A code given by an explicit linearly independent basis of words.
+    """A code given by k linearly independent rows (tuples) over its
+    linearity field.  ``field`` is GF(q).  A matrix code (``ext`` None) is
+    GF(q)-linear, each row a row-major n x m matrix; a vector code is
+    GF(q^m)-linear over ``ext``, each row a length-n vector.  ``k == 0`` is
+    the zero code.  Words are built on demand only: ``basis`` on first use."""
 
-    ``repr`` is 'matrix' (GF(q)-linear) or 'vector' (GF(q^m)-linear).
-    ``k == 0`` is the zero code; the ambient (n, m) then comes from the
-    stored parameters.  Code-level operations read the basis as flat
-    ``rows`` over ``lin_field()`` (see ``flat_space``); words are built only
-    for the basis and for what ``iter_words`` and ``dual`` return.
-    """
-
-    repr: str
-    basis: tuple
+    rows: tuple
     field: Field = dc_field(repr=False)  # GF(q)
-    ext: object = dc_field(repr=False)  # ExtField for vector repr, else None
-    n: int = 0
-    m: int = 0
+    n: int
+    m: int
+    ext: ExtField | None = None
 
     def __post_init__(self):
-        F, D = self._space
-        if any(w.n != self.n or len(row) != D for w, row in zip(self.basis, self.rows)):
-            raise ParamError(f"basis word does not fit a {self.repr} code of width {D}")
-        if self.k > D:
-            raise ParamError(f"dimension {self.k} exceeds {D}")
-        if self.rows and not linalg.is_independent(F, self.rows):
+        if self.n < 1 or self.m < 1:
+            raise ParamError(f"a code needs n >= 1 and m >= 1, not n={self.n}, m={self.m}")
+        if self.ext is not None and (self.ext.q, self.ext.m) != (self.q, self.m):
+            raise ParamError(f"{self.ext!r} for a vector code over GF({self.q}) with m={self.m}")
+        F, D = self.lin_field(), self.width
+        rows = tuple(row if type(row) is tuple else tuple(row) for row in self.rows)
+        for row in rows:
+            if len(row) != D or any(not 0 <= v < F.order for v in row):
+                raise ParamError(f"basis row does not fit a {self.repr} code of width {D} over {F!r}")
+        object.__setattr__(self, "rows", rows)
+        if rows and not linalg.is_independent(F, rows):
             raise ParamError(f"basis is linearly dependent over {F!r}")
 
     @property
+    def repr(self):
+        """'matrix' (GF(q)-linear) or 'vector' (GF(q^m)-linear)."""
+        return "matrix" if self.ext is None else "vector"
+
+    @property
     def k(self):
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def q(self):
         return self.field.order
 
-    @classmethod
-    def from_rows(cls, rows, field, n, m, repr="matrix", ext=None):
-        """The code with these independent basis rows (see ``flat_space``);
-        a vector code takes GF(q) and m from ``ext``."""
-        if repr == "vector":
-            return cls(repr, tuple(VectorWord(tuple(v), ext) for v in rows), ext.base, ext, n, ext.m)
-        return cls(repr, tuple(MatrixWord.from_flat(v, field, n, m) for v in rows), field, None, n, m)
-
-    @cached_property
-    def _space(self):
-        return flat_space(self.repr, self.field, self.ext, self.n, self.m)
-
-    @cached_property
-    def rows(self):
-        """The basis as flat rows over ``lin_field()``, each of length ``width``."""
-        return tuple(w.flatten() for w in self.basis)
-
     @property
     def width(self):
-        return self._space[1]
+        """D, the length of each row: nm for a matrix code, n for a vector code."""
+        return self.n * self.m if self.ext is None else self.n
 
     def lin_field(self):
         """The field over which the code is linear."""
-        return self._space[0]
+        return self.field if self.ext is None else self.ext
 
     def _word(self, row):
-        if self.repr == "matrix":
+        if self.ext is None:
             return MatrixWord.from_flat(row, self.field, self.n, self.m)
-        return VectorWord(tuple(row), self.ext)
+        return VectorWord(row, self.ext)
+
+    @cached_property
+    def basis(self):
+        """The k basis words, built on first use."""
+        return tuple(self._word(row) for row in self.rows)
 
     def iter_words(self):
         """All |F|^k codewords (desk scale only), in ``itertools.product``
         order of their basis coefficients."""
-        F, rows = self.lin_field(), self.rows
-        if not rows:
-            yield self._word([0] * self.width)
-            return
-        for coeffs in itertools.product(range(F.order), repeat=len(rows)):
+        F, rows = self.lin_field(), self.rows or [(0,) * self.width]  # k = 0: the zero word
+        for coeffs in itertools.product(range(F.order), repeat=self.k):
             yield self._word(linalg.combine(F, coeffs, rows))
 
     @cached_property
@@ -243,7 +235,7 @@ class LinearCode:
         on n columns instead of one over GF(q) on nm columns.
         """
         H = linalg.nullspace(self.lin_field(), self.rows or [[0] * self.width])
-        if self.repr == "matrix":
+        if self.ext is None:
             return tuple(tuple(h) for h in H)
         ext = self.ext
         rows = []
@@ -282,7 +274,7 @@ def dual(code: LinearCode) -> LinearCode:
     """Dual under the standard dot product over the linearity field:
     Tr(C X^T) = 0 for matrix codes, <g, x> = 0 over GF(q^m) for vector codes."""
     ns = linalg.nullspace(code.lin_field(), code.rows or [[0] * code.width])
-    return LinearCode.from_rows(ns, code.field, code.n, code.m, code.repr, code.ext)
+    return LinearCode(ns, code.field, code.n, code.m, code.ext)
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
@@ -330,4 +322,4 @@ def load_code(text: str) -> LinearCode:
     D = flat_space(rep, base, ext, n, m)[1]
     if any(len(vals) != D for vals in rows):
         raise FormatError(f"wrong entry count for {rep} word")
-    return LinearCode.from_rows(rows, base, n, m, rep, ext)
+    return LinearCode(rows, base, n, m, ext)

@@ -167,7 +167,7 @@ def test_criterion_6_list_size_oracle_equivalence(report):
     codes = []
     for k in (0, 1, 2):
         for rows in iter_rref(F, k, 4):
-            codes.append(LinearCode.from_rows(rows, F, 2, 2))
+            codes.append(LinearCode(rows, F, 2, 2))
     centers = [
         MatrixWord((tuple(flat[:2]), tuple(flat[2:])), F)
         for flat in itertools.product(range(2), repeat=4)

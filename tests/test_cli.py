@@ -1,16 +1,22 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sorank
 from sorank.fields import ext_field
 
 BASE = [sys.executable, "-m", "sorank.cli"]
+# The CLI subprocess imports the same sorank as the tests, from a checkout too.
+SRC = str(Path(sorank.__file__).parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args, stdin=""):
     return subprocess.run(
-        BASE + list(args), input=stdin, capture_output=True, text=True, timeout=120
+        BASE + list(args), input=stdin, capture_output=True, text=True, timeout=120, env=ENV
     )
 
 

@@ -9,12 +9,16 @@ from sorank.construct import (
     sample_code_star,
     so_code,
     so_flat_vectors,
+    uniform_linear_code,
 )
 from sorank.errors import BudgetError, ParamError
 from sorank.fields import ext_field, field_from_q
 from sorank.words import (
     LinearCode,
+    MatrixWord,
+    VectorWord,
     dual,
+    dump_code,
     is_contained_in_dual,
     is_self_orthogonal,
     trace_inner_product,
@@ -100,6 +104,47 @@ def test_basis_helpers_match_code_constructor():
     assert all(vector_inner_product(u, v) == 0 for u in vecs for v in vecs)
 
 
+ENSEMBLES = [so_code, sample_code_star, uniform_linear_code]
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "field,m,kwargs",
+    [
+        (F2, 3, {"repr": "vector"}),  # no extension field
+        (F3, 3, {"repr": "vector", "ext": ext_field(2, 3)}),  # GF(2^3) is not over GF(3)
+        (F2, 7, {"repr": "vector", "ext": ext_field(2, 3)}),  # GF(2^3) is not GF(2^7)
+        (F2, 3, {"repr": "matrix", "ext": ext_field(2, 3)}),  # a matrix code takes no extension
+    ],
+    ids=["vector-without-ext", "ext-over-another-q", "ext-of-another-m", "matrix-with-ext"],
+)
+def test_inconsistent_representation_arguments_rejected(ensemble, field, m, kwargs):
+    with pytest.raises(ParamError):
+        ensemble(field, 5, m, 2, random.Random(0), **kwargs)
+
+
+def test_construction_builds_no_words(monkeypatch):
+    built = []
+    for cls in (MatrixWord, VectorWord):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(self) or f(self))
+    E = ext_field(2, 2)
+    for field, n, m, ext in [(F3, 2, 3, None), (None, 5, 2, E)]:
+        kwargs = {"repr": "matrix" if ext is None else "vector", "ext": ext}
+        codes = [ensemble(field, n, m, 2, random.Random(5), **kwargs) for ensemble in ENSEMBLES]
+        for code in codes:
+            is_self_orthogonal(code)
+            is_contained_in_dual(code)
+            dump_code(dual(code))
+        assert built == []
+        code = codes[0]
+        assert len(code.basis) == 2 and len(built) == 2
+        assert code.basis is code.basis and len(built) == 2
+        built.clear()
+        assert sum(1 for _ in code.iter_words()) == code.lin_field().order ** 2 == len(built)
+        built.clear()
+
+
 def test_determinism_with_fixed_seed():
     a = so_code(F2, 2, 4, 3, random.Random(42))
     b = so_code(F2, 2, 4, 3, random.Random(42))
@@ -120,7 +165,7 @@ def test_code_star_structure():
     for _ in range(30):
         code = sample_code_star(F2, 2, 4, 3, rng)
         assert code.k == 3
-        sub = LinearCode.from_rows(code.rows[:-1], F2, 2, 4)
+        sub = LinearCode(code.rows[:-1], F2, 2, 4)
         assert is_self_orthogonal(sub)
 
 

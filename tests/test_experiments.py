@@ -47,6 +47,8 @@ def test_dimension_from_rate():
     assert dimension_from_rate(0.45, 8, 1, repr="vector") == 3
     with pytest.raises(ParamError):
         dimension_from_rate(0.6, 2, 2)
+    with pytest.raises(ParamError):
+        dimension_from_rate(0.25, 2, 2, repr="weird")
     # k is floor(R * m * n): here that product is 10.999..., while R * 30 is 11.0.
     assert dimension_from_rate(gv_rate(0.2, 5 / 6, 0.3), 5, 6) == 10
 
@@ -60,11 +62,11 @@ def test_trial_streams_are_deterministic_and_distinct():
 
 def test_list_size_at_small_oracle():
     # full ambient space code: list size is the whole ball
-    full = LinearCode.from_rows([[1 if i == j else 0 for j in range(4)] for i in range(4)], F2, 2, 2)
+    full = LinearCode([[1 if i == j else 0 for j in range(4)] for i in range(4)], F2, 2, 2)
     center = MatrixWord.zero(F2, 2, 2)
     assert list_size_at(full, center, 1) == 10
     assert list_size_at(full, center, 2) == 16
-    zero = LinearCode.from_rows([], F2, 2, 2)
+    zero = LinearCode([], F2, 2, 2)
     assert list_size_at(zero, center, 1) == 1
     assert list_size_at(zero, MatrixWord(((1, 0), (0, 1)), F2), 1) == 0
 
@@ -187,8 +189,8 @@ def test_vector_words_read_over_the_code_basis():
 
 
 def test_list_size_rejects_a_center_that_does_not_fit():
-    gf2 = LinearCode.from_rows([[1, 0, 1, 1]], F2, 2, 2)
-    gf4 = LinearCode.from_rows([[1, 2]], F2, 2, 2, repr="vector", ext=ext_field(2, 2))
+    gf2 = LinearCode([[1, 0, 1, 1]], F2, 2, 2)
+    gf4 = LinearCode([[1, 2]], F2, 2, 2, ext=ext_field(2, 2))
     cases = [
         (gf2, MatrixWord(((1, 0), (1, 1)), field_from_q(3))),
         (gf2, MatrixWord(((1, 0), (1, 3)), field_from_q(4))),

@@ -28,7 +28,7 @@ F3 = field_from_q(3)
 
 
 def _mw(rows, field=F2):
-    return MatrixWord(tuple(tuple(r) for r in rows), field)
+    return MatrixWord(rows, field)
 
 
 def _random_mw(field, n, m, rng):
@@ -57,6 +57,19 @@ def test_rank_distance_examples():
         rank_distance(X, MatrixWord.zero(F2, 2, 4))
 
 
+def test_words_built_from_lists_equal_words_built_from_tuples():
+    X = MatrixWord([[1, 0], [0, 1]], F2)
+    assert X == MatrixWord(((1, 0), (0, 1)), F2) and hash(X) == hash(MatrixWord(((1, 0), (0, 1)), F2))
+    assert X.entries == ((1, 0), (0, 1)) and MatrixWord([(1, 0), [0, 1]], F2) == X
+    E = ext_field(2, 2)
+    x = VectorWord([1, 2], E)
+    assert x == VectorWord((1, 2), E) and hash(x) == hash(VectorWord((1, 2), E)) and x.coords == (1, 2)
+    with pytest.raises(ParamError):
+        MatrixWord([[1, 0], [0]], F2)
+    with pytest.raises(ParamError):
+        VectorWord([1, 4], E)
+
+
 def test_rank_distance_metric_axioms():
     rng = random.Random(23)
     for _ in range(2000):
@@ -67,8 +80,8 @@ def test_rank_distance_metric_axioms():
 
 
 def test_words_over_another_field_are_rejected():
-    code = LinearCode.from_rows([[1, 0, 1, 1]], F2, 2, 2)
-    vcode = LinearCode.from_rows([[1, 2]], F2, 2, 2, repr="vector", ext=ext_field(2, 2))
+    code = LinearCode([[1, 0, 1, 1]], F2, 2, 2)
+    vcode = LinearCode([[1, 2]], F2, 2, 2, ext=ext_field(2, 2))
     foreign = [_mw([[1, 0], [1, 1]], F3), _mw([[1, 0], [1, 3]], field_from_q(4))]
     for w in foreign:
         with pytest.raises(ParamError):
@@ -139,12 +152,12 @@ def test_mat_to_vec_examples():
 
 
 def test_delsarte_dual_examples():
-    zero_code = LinearCode.from_rows([], F2, 2, 2)
+    zero_code = LinearCode([], F2, 2, 2)
     assert dual(zero_code).k == 4
     full = dual(zero_code)
     assert full.repr == "matrix" and dual(full).k == 0
     gen = _mw([[1, 1], [0, 0]])
-    C = LinearCode.from_rows([gen.flatten()], F2, 2, 2)
+    C = LinearCode([gen.flatten()], F2, 2, 2)
     D = dual(C)
     assert D.k == 3
     assert D.contains(gen)
@@ -152,12 +165,12 @@ def test_delsarte_dual_examples():
 
 def test_vector_dual_examples():
     E4 = ext_field(2, 2)
-    C = LinearCode.from_rows([(1, 1)], F2, 2, 2, repr="vector", ext=E4)
+    C = LinearCode([(1, 1)], F2, 2, 2, ext=E4)
     D = dual(C)
     assert D.repr == "vector" and D.ext is E4
     assert D.k == 1 and D.contains(VectorWord((1, 1), E4))
     E9 = ext_field(3, 2)
-    C = LinearCode.from_rows([(1, 2)], F3, 2, 2, repr="vector", ext=E9)
+    C = LinearCode([(1, 2)], F3, 2, 2, ext=E9)
     D = dual(C)
     assert D.k == 1 and D.contains(VectorWord((1, 1), E9))
 
@@ -173,10 +186,10 @@ def test_dual_dimension_and_involution(repr_):
             while len(rows) < k:
                 w = _random_mw(F2, 2, 3, rng)
                 try:
-                    rows = list(LinearCode.from_rows(rows + [w.flatten()], F2, 2, 3).rows)
+                    rows = list(LinearCode(rows + [w.flatten()], F2, 2, 3).rows)
                 except ParamError:
                     continue
-            return LinearCode.from_rows(rows, F2, 2, 3)
+            return LinearCode(rows, F2, 2, 3)
 
         total = 6
     else:
@@ -187,10 +200,10 @@ def test_dual_dimension_and_involution(repr_):
             while len(rows) < k:
                 w = tuple(rng.randrange(9) for _ in range(4))
                 try:
-                    rows = list(LinearCode.from_rows(rows + [w], F3, 4, 2, repr="vector", ext=E).rows)
+                    rows = list(LinearCode(rows + [w], F3, 4, 2, ext=E).rows)
                 except ParamError:
                     continue
-            return LinearCode.from_rows(rows, F3, 4, 2, repr="vector", ext=E)
+            return LinearCode(rows, F3, 4, 2, ext=E)
 
         total = 4
     for k in range(total + 1):
@@ -200,35 +213,41 @@ def test_dual_dimension_and_involution(repr_):
         assert _same_code(dual(D), C)
 
 
-def test_from_rows_matches_word_constructors():
-    rows = [(1, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 1)]
-    C = LinearCode.from_rows(rows, F2, 2, 3)
-    assert C == LinearCode("matrix", tuple(MatrixWord.from_flat(r, F2, 2, 3) for r in rows), F2, None, 2, 3)
-    assert C.rows == tuple(rows) and C.width == 6 and C.lin_field() is F2
+def test_code_rows_are_checked():
+    rows = [[1, 0, 1, 1, 0, 0], (0, 1, 0, 0, 1, 1)]
+    C = LinearCode(rows, F2, 2, 3)
+    assert C == LinearCode(tuple(tuple(r) for r in rows), F2, 2, 3) and hash(C) == hash(LinearCode(C.rows, F2, 2, 3))
+    assert C.rows == ((1, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 1)) and C.width == 6 and C.lin_field() is F2
+    assert C.repr == "matrix" and C.basis == tuple(MatrixWord.from_flat(r, F2, 2, 3) for r in rows)
     E = ext_field(2, 2)
-    V = LinearCode.from_rows([(1, 2, 3)], F2, 3, 2, repr="vector", ext=E)
-    assert V == LinearCode("vector", (VectorWord((1, 2, 3), E),), F2, E, 3, 2)
+    V = LinearCode([(1, 2, 3)], F2, 3, 2, ext=E)
     assert V.rows == ((1, 2, 3),) and V.width == 3 and V.lin_field() is E
-    with pytest.raises(ParamError):
-        LinearCode.from_rows([(1, 0, 1, 1, 0, 0, 1)], F2, 2, 3)  # one entry too many
-    with pytest.raises(ParamError):
-        LinearCode.from_rows(rows, F2, 2, 3, repr="weird")
-    with pytest.raises(ParamError):
-        LinearCode.from_rows([rows[0], rows[0]], F2, 2, 3)  # dependent
-    # Direct construction checks each word against the code's shape too.
-    with pytest.raises(ParamError):
-        LinearCode("matrix", (MatrixWord.zero(F2, 3, 2),), F2, None, 2, 3)  # 3 x 2 word, 2 x 3 code
-    with pytest.raises(ParamError):
-        LinearCode("vector", (VectorWord((1, 2, 3), E),), F2, E, 2, 2)  # length 3, n = 2
+    assert V.repr == "vector" and V.basis == (VectorWord((1, 2, 3), E),)
+    bad = [
+        ([(1, 0, 1, 1, 0, 0, 1)], F2, 2, 3, None),  # one entry too many
+        ([(1, 0, 1, 1, 0)], F2, 2, 3, None),  # one entry too few
+        ([(1, 0, 2, 1, 0, 0)], F2, 2, 3, None),  # 2 is not in GF(2)
+        ([(1, 2, 4)], F2, 3, 2, E),  # 4 is not in GF(4)
+        ([rows[0], rows[0]], F2, 2, 3, None),  # dependent
+        ([(1, 2), (2, 3)], F2, 2, 2, E),  # dependent over GF(4): (2, 3) = 2 * (1, 2)
+        ([(1, 2, 3)], F2, 3, 3, E),  # GF(4) is not GF(2^3)
+        ([(1, 2, 3)], F3, 3, 2, E),  # GF(4) is not GF(3^2)
+        ([], F2, 0, 2, None),
+        ([], F2, 2, 0, None),
+        ([], F2, -1, 2, None),
+    ]
+    for args in bad:
+        with pytest.raises(ParamError):
+            LinearCode(*args)
 
 
 def test_is_self_orthogonal_examples():
-    assert is_self_orthogonal(LinearCode.from_rows([], F2, 2, 2))
-    C = LinearCode.from_rows([(1, 1, 0, 0)], F2, 2, 2)
+    assert is_self_orthogonal(LinearCode([], F2, 2, 2))
+    C = LinearCode([(1, 1, 0, 0)], F2, 2, 2)
     assert is_self_orthogonal(C)
     assert is_contained_in_dual(C)
     eye3 = _mw([[1, 0], [0, 1]], F3)
-    assert not is_self_orthogonal(LinearCode.from_rows([eye3.flatten()], F3, 2, 2))
+    assert not is_self_orthogonal(LinearCode([eye3.flatten()], F3, 2, 2))
 
 
 def test_lemma1_pair_identity_examples():
@@ -266,13 +285,13 @@ def test_code_file_roundtrip():
     while len(rows) < 2:
         w = _random_mw(F3, 2, 3, rng)
         try:
-            rows = list(LinearCode.from_rows(rows + [w.flatten()], F3, 2, 3).rows)
+            rows = list(LinearCode(rows + [w.flatten()], F3, 2, 3).rows)
         except ParamError:
             continue
-    C = LinearCode.from_rows(rows, F3, 2, 3)
+    C = LinearCode(rows, F3, 2, 3)
     assert _same_code(load_code(dump_code(C)), C)
     E = ext_field(2, 3)
-    V = LinearCode.from_rows([(1, 2, 4)], F2, 3, 3, repr="vector", ext=E)
+    V = LinearCode([(1, 2, 4)], F2, 3, 3, ext=E)
     assert _same_code(load_code(dump_code(V)), V)
 
 
@@ -285,3 +304,9 @@ def test_code_file_errors():
         load_code("repr=weird q=2 m=2 n=2 k=0\n")
     with pytest.raises(FormatError):
         load_code("repr=matrix q=2 m=2 n=2 k=2\n1 0 0 0\n")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_load_code_rejects_a_nonpositive_n(n):
+    with pytest.raises(ParamError, match=f"n={n}"):
+        load_code(f"repr=matrix q=2 m=2 n={n} k=0\n")
