@@ -6,7 +6,7 @@ quadratic-form route, and verifies their combinatorial and
 list-decodability properties against brute-force oracles at desk scale.
 """
 
-from .balls import BallSpec, ball_size_exact, gaussian_binomial
+from .balls import ball_size_exact, gaussian_binomial
 from .construct import sample_code_star, so_code
 from .errors import BudgetError, FormatError, ParamError, SizeError, ToolkitError
 from .fields import ExtField, Field, ext_field, field_from_q, find_self_dual_basis
@@ -29,7 +29,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallSpec",
     "BudgetError",
     "ExtField",
     "Field",

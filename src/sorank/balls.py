@@ -4,14 +4,14 @@ All counts use exact integer arithmetic (they overflow 64 bits quickly);
 floats appear only in the log-domain upper bound.  Enumeration and uniform
 sampling both go through the factorization X = A * B of a rank-i matrix
 into a full-column-rank n x i factor and the RREF basis B of its row
-space, which is a bijection onto the rank-i stratum.
+space, which is a bijection onto the rank-i stratum.  ``enumerate_ball``
+yields each word of a ball as its rows, a tuple of n row tuples over GF(q).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import linalg
 from .errors import ParamError, SizeError
@@ -57,26 +57,6 @@ def ball_size_upper_bound(n, m, q, tau):
     return math.log(4, q) + m * n * (tau + tau * rho - tau * tau * rho)
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """A rank-metric ball: center word and integer radius."""
-
-    center: MatrixWord
-    radius: int
-
-    def __post_init__(self):
-        if not 0 <= self.radius <= self.center.n:
-            raise ParamError(f"radius {self.radius} out of range 0..{self.center.n}")
-
-    @property
-    def params(self):
-        return (self.center.field.order, self.center.n, self.center.m)
-
-    def size(self):
-        q, n, m = self.params
-        return ball_size_exact(n, m, q, self.radius)
-
-
 def _rref_shapes(i, m):
     """Each pivot set of a rank-i RREF with m columns, in
     ``itertools.combinations`` order, with its free cells (t, j): the
@@ -113,30 +93,30 @@ def iter_full_colrank(field, n, i):
 
 
 def _assemble(field, cols, rref_rows, center):
-    """The word center + A * B, A given by columns, B by RREF rows."""
+    """The rows of center + A * B, A given by columns, B by RREF rows."""
     add, mul = field.add, field.mul
-    out = [list(row) for row in center.entries]
+    out = [list(row) for row in center]
     for col, brow in zip(cols, rref_rows):
         for a, orow in zip(col, out):
             if a:
                 for c, b in enumerate(brow):
                     if b:
                         orow[c] = add(orow[c], mul(a, b))
-    return MatrixWord(tuple(tuple(row) for row in out), field)
+    return tuple(tuple(row) for row in out)
 
 
-def enumerate_ball(spec: BallSpec):
-    """Yield every word at rank distance <= radius from the center, once."""
-    q, n, m = spec.params
-    if spec.size() > ENUM_LIMIT:
-        raise SizeError(f"ball size {spec.size()} exceeds 2^22")
-    center = spec.center
-    field = center.field
-    for i in range(spec.radius + 1):
+def enumerate_ball(center: MatrixWord, radius):
+    """Yield the rows of every word at rank distance <= radius from the
+    center, once each."""
+    field, n, m = center.field, center.n, center.m
+    size = ball_size_exact(n, m, field.order, radius)
+    if size > ENUM_LIMIT:
+        raise SizeError(f"ball size {size} exceeds 2^22")
+    for i in range(radius + 1):
         col_sets = list(iter_full_colrank(field, n, i))
         for rref_rows in iter_rref(field, i, m):
             for cols in col_sets:
-                yield _assemble(field, cols, rref_rows, center)
+                yield _assemble(field, cols, rref_rows, center.entries)
 
 
 def _weighted_index(weights, rng):
@@ -158,15 +138,17 @@ def _sample_rref(field, i, m, rng):
     return _rref_rows(pivots, free, [rng.randrange(q) for _ in free], m)
 
 
-def sample_from_ball(spec: BallSpec, rng) -> MatrixWord:
+def sample_from_ball(center: MatrixWord, radius, rng) -> MatrixWord:
     """Uniform word from the ball: rank stratum by exact count, then
     uniform column-space factor and uniform full-column-rank coefficients."""
-    q, n, m = spec.params
-    field = spec.center.field
-    i = _weighted_index([rank_stratum_count(n, m, q, i) for i in range(spec.radius + 1)], rng)
+    field, n, m = center.field, center.n, center.m
+    if not 0 <= radius <= n:
+        raise ParamError(f"radius {radius} out of range 0..{n}")
+    q = field.order
+    i = _weighted_index([rank_stratum_count(n, m, q, i) for i in range(radius + 1)], rng)
     rref_rows = _sample_rref(field, i, m, rng)
     while True:
         cols = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(i)]
         if linalg.rank(field, cols) == i:
             break
-    return _assemble(field, cols, rref_rows, spec.center)
+    return MatrixWord(_assemble(field, cols, rref_rows, center.entries), field)

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
 
 from . import linalg
-from .balls import ENUM_LIMIT, BallSpec, ball_size_exact, enumerate_ball, sample_from_ball
+from .balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, sample_from_ball
 from .construct import max_so_dimension, sample_code_star, so_code, uniform_linear_code
 from .errors import ParamError, SizeError
 from .fields import ext_field, field_from_q
@@ -31,6 +31,7 @@ from .words import (
 )
 
 ENSEMBLES = ("self-orthogonal", "code-star", "uniform-linear")
+_Z = 1.96  # the normal quantile of every reported (two-sided 95%) Wilson interval
 
 
 def gv_rate(tau, rho, epsilon):
@@ -95,8 +96,7 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     if code_size <= ENUM_LIMIT and (bsize is None or code_size <= bsize):
         return sum(1 for w in code.iter_words() if rank_distance(center, w) <= r)
     if bsize is not None and bsize <= ENUM_LIMIT:
-        ball = BallSpec(MatrixWord(tuple(rows), code.field), r)
-        return sum(1 for w in enumerate_ball(ball) if code.contains(w))
+        return sum(1 for X in enumerate_ball(MatrixWord(tuple(rows), code.field), r) if code.contains_rows(X))
     raise SizeError("both the code and the ball are too large to enumerate")
 
 
@@ -221,14 +221,14 @@ def max_list_size_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # -- event frequency estimators ---------------------------------------------
 
 
-def wilson_interval(successes, trials, z=1.96):
+def wilson_interval(successes, trials):
     """Wilson score confidence interval for a binomial proportion."""
     if trials < 1:
         raise ParamError("trials must be >= 1")
     phat = successes / trials
-    denom = 1 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1 + _Z * _Z / trials
+    center = (phat + _Z * _Z / (2 * trials)) / denom
+    half = _Z * math.sqrt(phat * (1 - phat) / trials + _Z * _Z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -256,22 +256,24 @@ def span_ball_overlap(words, radius):
     return sum(1 for v in seen if linalg.rank(field, [v[i * m : (i + 1) * m] for i in range(n)]) <= radius)
 
 
-def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed, z=1.96) -> EventEstimate:
+def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed) -> EventEstimate:
     """Frequency of |span{X_1..X_ell} cap B_R(0, floor(tau*n))| >= C_ratio * ell
     over independent uniform draws X_i from the ball."""
+    if ell < 1:
+        raise ParamError(f"need ell >= 1, got {ell}")
     if q**ell > (1 << 20):
         raise SizeError("span too large to enumerate (q^ell > 2^20)")
     field = field_from_q(q)
     r = int(math.floor(tau * n))
-    spec = BallSpec(MatrixWord.zero(field, n, m), r)
+    zero = MatrixWord.zero(field, n, m)
     threshold = C_ratio * ell
     hits = 0
     for t in range(trials):
         rng = trial_rng(seed, t)
-        draws = [sample_from_ball(spec, rng) for _ in range(ell)]
+        draws = [sample_from_ball(zero, r, rng) for _ in range(ell)]
         if span_ball_overlap(draws, r) >= threshold:
             hits += 1
-    lo, hi = wilson_interval(hits, trials, z)
+    lo, hi = wilson_interval(hits, trials)
     return EventEstimate(hits, trials, lo, hi, {"threshold": threshold, "radius": r})
 
 
@@ -281,7 +283,7 @@ def lemma48_bound(q, n, m, k, ell):
     return q**e if e >= 0 else 1.0 / q ** (-e)
 
 
-def lemma48_event_estimate(q, n, m, k, fixed_set, trials, seed, z=1.96) -> EventEstimate:
+def lemma48_event_estimate(q, n, m, k, fixed_set, trials, seed) -> EventEstimate:
     """Frequency that a code from the k-dimensional star ensemble contains
     every word of ``fixed_set``; reported next to the closed-form bound
     (the bound caps a different exact probability, so it is report-only)."""
@@ -298,5 +300,5 @@ def lemma48_event_estimate(q, n, m, k, fixed_set, trials, seed, z=1.96) -> Event
         code = sample_code_star(field, n, m, k, rng)
         if all(code.contains(w) for w in fixed_set):
             hits += 1
-    lo, hi = wilson_interval(hits, trials, z)
+    lo, hi = wilson_interval(hits, trials)
     return EventEstimate(hits, trials, lo, hi, {"bound": lemma48_bound(q, n, m, k, ell)})

@@ -7,7 +7,7 @@ coordinate over a basis of the extension; with a self-dual basis the trace
 inner product of matrices and the traced vector inner product agree
 pairwise.  A ``LinearCode`` is its k flat rows over the field it is linear
 over; word objects are built only for single words: the caller's, the
-basis, ``iter_words`` and ball enumeration.
+basis and ``iter_words``.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ def flat_space(repr, field, ext, n, m):
     over F with the standard dot product: GF(q)-linear 'matrix' codes on
     row-major n x m matrices (F = field, D = nm, no ``ext``), GF(q^m)-linear
     'vector' codes on length-n vectors over ``ext`` (F = ext, D = n)."""
-    if repr not in ("matrix", "vector") or (ext is None) != (repr == "matrix"):
-        raise ParamError(f"representation {repr!r} with extension field {ext!r}")
+    matrix = repr == "matrix"
+    if repr not in ("matrix", "vector") or (ext is None) != matrix or (matrix and field is None):
+        raise ParamError(f"representation {repr!r} with field {field!r} and extension field {ext!r}")
     return (field, n * m) if ext is None else (ext, n)
 
 
@@ -160,7 +161,8 @@ class LinearCode:
     linearity field.  ``field`` is GF(q).  A matrix code (``ext`` None) is
     GF(q)-linear, each row a row-major n x m matrix; a vector code is
     GF(q^m)-linear over ``ext``, each row a length-n vector.  ``k == 0`` is
-    the zero code.  Words are built on demand only: ``basis`` on first use."""
+    the zero code.  Words are built on demand only: ``basis`` on first use.
+    ``contains_rows`` tests n x m rows over GF(q), ``contains`` a word."""
 
     rows: tuple
     field: Field = dc_field(repr=False)  # GF(q)
@@ -262,12 +264,16 @@ class LinearCode:
             raise ParamError("dimension mismatch")
         return rows
 
-    def contains(self, word):
-        """Membership by syndrome against ``parity_check``, of the word's
-        ``matrix_rows``."""
-        x = [v for row in self.matrix_rows(word) for v in row]
+    def contains_rows(self, rows):
+        """Membership by syndrome against ``parity_check``, of n x m rows
+        over GF(q) that the caller has checked (``matrix_rows`` does)."""
+        x = [v for row in rows for v in row]
         F = self.field
         return not any(linalg.dot(F, h, x) for h in self.parity_check)
+
+    def contains(self, word):
+        """Membership of a word in either representation."""
+        return self.contains_rows(self.matrix_rows(word))
 
 
 def dual(code: LinearCode) -> LinearCode:

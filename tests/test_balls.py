@@ -7,7 +7,6 @@ import pytest
 from oracles import check_gb_bounds, gb_recurrence_holds
 from sorank import linalg
 from sorank.balls import (
-    BallSpec,
     ball_size_exact,
     ball_size_upper_bound,
     enumerate_ball,
@@ -89,12 +88,14 @@ def test_ball_upper_bound_dominates():
                 assert math.log(exact, q) <= ball_size_upper_bound(n, m, q, tau) + 1e-9
 
 
-def test_ballspec_size_and_radius_range():
+def test_ball_size_and_radius_range():
     c = MatrixWord.zero(F2, 2, 2)
-    spec = BallSpec(c, 1)
-    assert spec.params == (2, 2, 2) and spec.size() == 10
-    with pytest.raises(ParamError):
-        BallSpec(c, 3)
+    assert sum(1 for _ in enumerate_ball(c, 1)) == ball_size_exact(2, 2, 2, 1) == 10
+    for r in (-1, 3):
+        with pytest.raises(ParamError):
+            next(enumerate_ball(c, r))
+        with pytest.raises(ParamError):
+            sample_from_ball(c, r, random.Random(0))
 
 
 def test_iter_factorizations_count():
@@ -108,47 +109,44 @@ def test_iter_factorizations_count():
 def test_enumerate_ball_matches_exact_count(q, n, m, r):
     F = field_from_q(q)
     center = MatrixWord(tuple(tuple((i + j) % q for j in range(m)) for i in range(n)), F)
-    spec = BallSpec(center, r)
-    members = list(enumerate_ball(spec))
+    members = list(enumerate_ball(center, r))
     assert len(members) == len(set(members)) == ball_size_exact(n, m, q, r)
-    assert all(rank_distance(center, w) <= r for w in members)
+    assert all(rank_distance(center, MatrixWord(w, F)) <= r for w in members)
 
 
 def test_enumerate_ball_matches_full_scan():
     center = MatrixWord(((1, 0), (1, 1)), F2)
-    spec = BallSpec(center, 1)
-    got = set(enumerate_ball(spec))
+    got = set(enumerate_ball(center, 1))
     want = set()
     for flat in itertools.product(range(2), repeat=4):
         w = MatrixWord((tuple(flat[:2]), tuple(flat[2:])), F2)
         if rank_distance(center, w) <= 1:
-            want.add(w)
+            want.add(w.entries)
     assert got == want
 
 
 def test_sample_from_ball_stays_inside():
     rng = random.Random(17)
     center = MatrixWord(((1, 2, 0), (0, 1, 1)), F3)
-    spec = BallSpec(center, 1)
     for _ in range(500):
-        w = sample_from_ball(spec, rng)
+        w = sample_from_ball(center, 1, rng)
         assert rank_distance(center, w) <= 1
 
 
 def test_sample_from_ball_uniformity():
     from scipy import stats
 
-    spec = BallSpec(MatrixWord.zero(F2, 2, 2), 1)
-    members = list(enumerate_ball(spec))
+    center = MatrixWord.zero(F2, 2, 2)
+    members = list(enumerate_ball(center, 1))
     rng = random.Random(23)
     counts = {w: 0 for w in members}
     for _ in range(20_000):
-        counts[sample_from_ball(spec, rng)] += 1
+        counts[sample_from_ball(center, 1, rng).entries] += 1
     assert stats.chisquare(list(counts.values())).pvalue > 0.001
 
 
 # (q, n, m, r) -> sha256 of the repr of three lists: iter_full_colrank(F, n, r)
-# as tuples of column tuples, the entries of every word enumerate_ball yields, and the entries of 300
+# as tuples of column tuples, the rows of every word enumerate_ball yields, and the entries of 300
 # sample_from_ball draws with random.Random(1000q + 100n + 10m + r).  The
 # center's entry (i, j) is (i + 2j) mod q.  Recorded while the full-rank
 # factors came from a recursive span search and the RREF shapes and weighted
@@ -220,12 +218,12 @@ BALL_STREAMS = {
 @pytest.mark.parametrize("q,n,m,r", sorted(BALL_STREAMS))
 def test_ball_streams_pinned(q, n, m, r):
     F = field_from_q(q)
-    spec = BallSpec(MatrixWord(tuple(tuple((i + 2 * j) % q for j in range(m)) for i in range(n)), F), r)
+    center = MatrixWord(tuple(tuple((i + 2 * j) % q for j in range(m)) for i in range(n)), F)
     rng = random.Random(1000 * q + 100 * n + 10 * m + r)
     outputs = (
         [tuple(map(tuple, cols)) for cols in iter_full_colrank(F, n, r)],
-        [w.entries for w in enumerate_ball(spec)],
-        [sample_from_ball(spec, rng).entries for _ in range(300)],
+        list(enumerate_ball(center, r)),
+        [sample_from_ball(center, r, rng).entries for _ in range(300)],
     )
     got = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in outputs)
     assert got == BALL_STREAMS[q, n, m, r]

@@ -115,8 +115,9 @@ ENSEMBLES = [so_code, sample_code_star, uniform_linear_code]
         (F3, 3, {"repr": "vector", "ext": ext_field(2, 3)}),  # GF(2^3) is not over GF(3)
         (F2, 7, {"repr": "vector", "ext": ext_field(2, 3)}),  # GF(2^3) is not GF(2^7)
         (F2, 3, {"repr": "matrix", "ext": ext_field(2, 3)}),  # a matrix code takes no extension
+        (None, 3, {}),  # a matrix code needs its GF(q)
     ],
-    ids=["vector-without-ext", "ext-over-another-q", "ext-of-another-m", "matrix-with-ext"],
+    ids=["vector-without-ext", "ext-over-another-q", "ext-of-another-m", "matrix-with-ext", "matrix-without-field"],
 )
 def test_inconsistent_representation_arguments_rejected(ensemble, field, m, kwargs):
     with pytest.raises(ParamError):

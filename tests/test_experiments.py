@@ -7,7 +7,7 @@ import pytest
 
 from oracles import solve_in_span
 from sorank import experiments
-from sorank.balls import BallSpec, ball_size_exact, enumerate_ball
+from sorank.balls import ball_size_exact, enumerate_ball
 from sorank.construct import uniform_linear_code
 from sorank.errors import ParamError
 from sorank.experiments import (
@@ -120,9 +120,9 @@ def _check_routes_agree(case, monkeypatch):
     code = _random_code(*params, rng)
     spans = []
 
-    def spy(spec):
-        spans.append(spec)
-        return enumerate_ball(spec)
+    def spy(center, radius):
+        spans.append((center, radius))
+        return enumerate_ball(center, radius)
 
     monkeypatch.setattr(experiments, "enumerate_ball", spy)
     words = list(code.iter_words())
@@ -135,8 +135,24 @@ def _check_routes_agree(case, monkeypatch):
             assert list_size_at(code, c, r) == by_code
             assert (len(words) > ball_size_exact(code.n, code.m, code.q, r)) == (r in ball_radii)
             assert bool(spans) == (r in ball_radii)
-            by_ball = sum(1 for w in enumerate_ball(BallSpec(ball_center, r)) if code.contains(w))
+            by_ball = sum(1 for w in enumerate_ball(ball_center, r) if code.contains(MatrixWord(w, code.field)))
             assert by_ball == by_code
+
+
+def test_ball_route_builds_only_the_center(monkeypatch):
+    """The ball scan builds one word, its center, and none per ball word."""
+    rng = random.Random(31)
+    codes = [_random_code(*case[:-1], rng) for case in (MATRIX_CASES["GF3-2x3-k5"], VECTOR_CASES["GF8-n3-k2"])]
+    centers = [_random_word(code, rng) for code in codes]
+    built = []
+    for cls in (MatrixWord, VectorWord):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(self) or f(self))
+    for code, center in zip(codes, centers):
+        assert ball_size_exact(code.n, code.m, code.q, 1) < code.lin_field().order ** code.k  # the ball route
+        list_size_at(code, center, 1)
+        assert len(built) == 1
+        built.clear()
 
 
 @pytest.mark.parametrize("case", MATRIX_CASES.values(), ids=MATRIX_CASES.keys())
@@ -303,14 +319,22 @@ def test_lemma47_estimate():
     assert 0 <= est.ci_low <= est.frequency <= est.ci_high <= 1
     assert est.extra["radius"] == 1
     # manual recount of trial 0 must agree with a single-trial estimate
-    from sorank.balls import BallSpec, sample_from_ball
+    from sorank.balls import sample_from_ball
 
     rng = trial_rng(7, 0)
-    spec = BallSpec(MatrixWord.zero(F2, 2, 2), 1)
-    draws = [sample_from_ball(spec, rng) for _ in range(2)]
+    draws = [sample_from_ball(MatrixWord.zero(F2, 2, 2), 1, rng) for _ in range(2)]
     manual_hit = span_ball_overlap(draws, 1) >= 2
     one = lemma47_event_estimate(2, 2, 2, 0.5, 2, 1, 1, seed=7)
     assert one.successes == (1 if manual_hit else 0)
+
+
+def test_lemma47_rejects_bad_ell_and_tau():
+    for ell in (0, -1):
+        with pytest.raises(ParamError):
+            lemma47_event_estimate(2, 2, 2, 0.5, ell, 1, 5, seed=1)
+    for tau in (-0.5, 1.5):  # radius floor(tau * n) = -1 and 3, outside 0..2
+        with pytest.raises(ParamError):
+            lemma47_event_estimate(2, 2, 2, tau, 2, 1, 5, seed=1)
 
 
 def test_frozen_event_frequencies():
