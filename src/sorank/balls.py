@@ -5,7 +5,9 @@ floats appear only in the log-domain upper bound.  Enumeration and uniform
 sampling both go through the factorization X = A * B of a rank-i matrix
 into a full-column-rank n x i factor and the RREF basis B of its row
 space, which is a bijection onto the rank-i stratum.  ``enumerate_ball``
-yields each word of a ball as its rows, a tuple of n row tuples over GF(q).
+yields each word of a ball as its rows, a tuple of n row tuples over GF(q),
+looked up in per-B tables of center rows plus combinations of B's rows, so
+a ball word costs no field arithmetic.
 """
 
 from __future__ import annotations
@@ -92,31 +94,31 @@ def iter_full_colrank(field, n, i):
             yield cols
 
 
-def _assemble(field, cols, rref_rows, center):
-    """The rows of center + A * B, A given by columns, B by RREF rows."""
-    add, mul = field.add, field.mul
-    out = [list(row) for row in center]
-    for col, brow in zip(cols, rref_rows):
-        for a, orow in zip(col, out):
-            if a:
-                for c, b in enumerate(brow):
-                    if b:
-                        orow[c] = add(orow[c], mul(a, b))
-    return tuple(tuple(row) for row in out)
-
-
 def enumerate_ball(center: MatrixWord, radius):
     """Yield the rows of every word at rank distance <= radius from the
-    center, once each."""
+    center, once each.
+
+    Row o of center + A * B is center[o] + (row o of A) * B.  So for each
+    RREF matrix B the n tables of rows center[o] + v * B, one per
+    coefficient vector v in ``itertools.product`` order, are built once,
+    and a word is n lookups at the indices of A's rows, v read base q with
+    its first entry most significant."""
     field, n, m = center.field, center.n, center.m
     size = ball_size_exact(n, m, field.order, radius)
     if size > ENUM_LIMIT:
         raise SizeError(f"ball size {size} exceeds 2^22")
+    q = field.order
     for i in range(radius + 1):
-        col_sets = list(iter_full_colrank(field, n, i))
+        weights = [q ** (i - 1 - t) for t in range(i)]
+        idxs = [
+            tuple(sum(w * col[o] for w, col in zip(weights, cols)) for o in range(n))
+            for cols in iter_full_colrank(field, n, i)
+        ]
+        coeffs = list(itertools.product(range(q), repeat=i))
         for rref_rows in iter_rref(field, i, m):
-            for cols in col_sets:
-                yield _assemble(field, cols, rref_rows, center.entries)
+            tab = [[tuple(linalg.combine(field, v, rref_rows, crow)) for v in coeffs] for crow in center.entries]
+            for idx in idxs:
+                yield tuple(map(list.__getitem__, tab, idx))
 
 
 def _weighted_index(weights, rng):
@@ -151,4 +153,6 @@ def sample_from_ball(center: MatrixWord, radius, rng) -> MatrixWord:
         cols = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(i)]
         if linalg.rank(field, cols) == i:
             break
-    return MatrixWord(_assemble(field, cols, rref_rows, center.entries), field)
+    # Row o of center + A * B is center[o] + (row o of A) * B.
+    rows = (linalg.combine(field, [col[o] for col in cols], rref_rows, crow) for o, crow in enumerate(center.entries))
+    return MatrixWord(tuple(map(tuple, rows)), field)

@@ -14,7 +14,7 @@ larger.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import linalg
 from .errors import ParamError
@@ -311,6 +311,10 @@ class ExtField(_PackedField):
         except ValueError:
             raise ParamError("basis is not an F_q-basis of the extension") from None
         self.basis = basis
+        # tr(b) is the matrix trace of y -> b y: the sum over j of digit j of b x^j.
+        self._poly_traces = [
+            reduce(base.add, (self.to_digits(self.mul(b, c))[j] for j, c in enumerate(poly))) for b in poly
+        ]
         # None for the polynomial basis: its coordinates are the digits.
         self._digits_to_coords = None if basis == poly else inverse
 
@@ -318,15 +322,9 @@ class ExtField(_PackedField):
         return f"ExtField(GF({self.q}^{self.m})/GF({self.q}))"
 
     def trace(self, x):
-        """Field trace down to GF(q): sum of the m Frobenius conjugates."""
-        s = 0
-        y = x
-        for _ in range(self.m):
-            s = self.add(s, y)
-            y = self.pow(y, self.q)
-        if s >= self.q:  # encodes a non-constant polynomial
-            raise ParamError(f"trace of {x!r} left the base field of {self!r}")
-        return s
+        """Field trace down to GF(q), a GF(q)-linear functional: the dot of
+        x's digits with the traces of the polynomial basis."""
+        return linalg.dot(self.base, self.to_digits(x), self._poly_traces)
 
     def coords(self, x):
         """Expansion of x over the attached basis."""

@@ -19,10 +19,11 @@ def dot(F, u, v):
     return s
 
 
-def combine(F, coeffs, rows):
-    """sum_i coeffs[i] * rows[i] over F, as a new list; needs at least one row."""
+def combine(F, coeffs, rows, start=None):
+    """start + sum_i coeffs[i] * rows[i] over F, as a new list.  Without
+    ``start`` the sum starts from the zero row and needs at least one row."""
     add, mul = F.add, F.mul
-    out = [0] * len(rows[0])
+    out = [0] * len(rows[0]) if start is None else list(start)
     for c, row in zip(coeffs, rows):
         if c:
             for j, v in enumerate(row):

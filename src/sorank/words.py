@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 
 from . import linalg
 from .errors import FormatError, ParamError
@@ -162,7 +163,8 @@ class LinearCode:
     GF(q)-linear, each row a row-major n x m matrix; a vector code is
     GF(q^m)-linear over ``ext``, each row a length-n vector.  ``k == 0`` is
     the zero code.  Words are built on demand only: ``basis`` on first use.
-    ``contains_rows`` tests n x m rows over GF(q), ``contains`` a word."""
+    ``contains_rows`` tests n x m rows over GF(q), ``contains`` a word; over
+    GF(2) both read a cached packed column of ``parity_check`` per entry."""
 
     rows: tuple
     field: Field = dc_field(repr=False)  # GF(q)
@@ -264,9 +266,20 @@ class LinearCode:
             raise ParamError("dimension mismatch")
         return rows
 
+    @cached_property
+    def _syndrome_columns(self):
+        """Over GF(2), per flat coordinate j the column j of ``parity_check``
+        as an int, bit t for check row t."""
+        return tuple(sum(h[j] << t for t, h in enumerate(self.parity_check)) for j in range(self.n * self.m))
+
     def contains_rows(self, rows):
         """Membership by syndrome against ``parity_check``, of n x m rows
-        over GF(q) that the caller has checked (``matrix_rows`` does)."""
+        over GF(q) that the caller has checked (``matrix_rows`` does).  Over
+        GF(2) the syndrome is the XOR of the packed columns at the word's
+        nonzero entries; otherwise one dot product per check row."""
+        if self.q == 2:
+            entries = itertools.chain.from_iterable(rows)
+            return not reduce(xor, itertools.compress(self._syndrome_columns, entries), 0)
         x = [v for row in rows for v in row]
         F = self.field
         return not any(linalg.dot(F, h, x) for h in self.parity_check)

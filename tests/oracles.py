@@ -68,6 +68,17 @@ def lemma1_pair_identity(a: VectorWord, b: VectorWord):
     return lhs, rhs
 
 
+def frobenius_trace(ext, x):
+    """tr(x) as the sum of its m Frobenius conjugates x, x^q, ..., x^(q^(m-1))."""
+    s = 0
+    for _ in range(ext.m):
+        s = ext.add(s, x)
+        x = ext.pow(x, ext.q)
+    if s >= ext.q:  # encodes a non-constant polynomial
+        raise ParamError(f"trace left the base field of {ext!r}")
+    return s
+
+
 def solve_in_span(F, basis_rows, target):
     """Coefficients c with sum_i c_i * basis_rows[i] == target, or None."""
     if not basis_rows:

@@ -8,7 +8,7 @@ import pytest
 from oracles import solve_in_span
 from sorank import experiments
 from sorank.balls import ball_size_exact, enumerate_ball
-from sorank.construct import uniform_linear_code
+from sorank.construct import max_so_dimension, uniform_linear_code
 from sorank.errors import ParamError
 from sorank.experiments import (
     EventEstimate,
@@ -85,6 +85,7 @@ MATRIX_CASES = {
     "GF2-2x2-k0": (2, 2, 2, 0, None, ()),
     "GF2-2x2-full": (2, 2, 2, 4, None, (0, 1)),
     "GF3-2x2-full": (3, 2, 2, 4, None, (0, 1)),
+    "GF2-3x4-k11": (2, 3, 4, 11, None, (0, 1, 2)),  # r = 2 reads two-coefficient table rows
 }
 VECTOR_CASES = {
     "GF4-n2-k1": (2, 2, 2, 1, ext_field(2, 2), (0,)),
@@ -96,6 +97,36 @@ VECTOR_CASES = {
     "GF8-nonpoly-n3-k2": (2, 3, 3, 2, E8_NONPOLY, (0, 1)),
     "GF8-nonpoly-n2-full": (2, 2, 3, 2, E8_NONPOLY, (0, 1)),
     "GF4-n2-k0": (2, 2, 2, 0, ext_field(2, 2), ()),
+}
+# The benchmark's ball-route shapes: a 3 x 8 matrix code with k = 11 and a
+# GF(32)-linear code of length 5 with k = 2.  Radii whose ball is too large
+# to spell out are skipped.
+BALL_ROUTE_CASES = {
+    "GF2-3x8-k11": (2, 3, 8, 11, None, (0, 1)),
+    "GF32-n5-k2": (2, 5, 5, 2, ext_field(2, 5), (0, 1)),
+}
+SPELL_OUT_LIMIT = 5000
+# Route-agreement cases with the seeds of the codes each is checked on.
+ROUTE_CASES = {
+    **{name: (case, (31,)) for name, case in MATRIX_CASES.items()},
+    **{name: (case, (31, 32)) for name, case in BALL_ROUTE_CASES.items()},
+}
+# Every q = 2 shape (n, m, k) of the criterion-4 construction grid, matrix
+# and vector, for the packed GF(2) membership test.
+GF2_GRID_CASES = {
+    **{
+        f"grid-GF2-{n}x{m}-k{k}": (2, n, m, k, None, None)
+        for n in range(1, 17)
+        for m in range(n, 17)
+        if n * m <= 16
+        for k in range(1, max_so_dimension(n * m) + 1)
+    },
+    **{
+        f"grid-GF{2**m}-n{n}-k{k}": (2, n, m, k, ext_field(2, m), None)
+        for m in (2, 3)
+        for n in range(1, 9)
+        for k in range(1, max_so_dimension(n) + 1)
+    },
 }
 
 
@@ -111,13 +142,13 @@ def _random_code(q, n, m, k, ext, rng):
     return uniform_linear_code(field_from_q(q), n, m, k, rng, repr="matrix" if ext is None else "vector", ext=ext)
 
 
-def _check_routes_agree(case, monkeypatch):
-    """At every radius list_size_at equals the code scan, and takes the ball
-    scan exactly at ``ball_radii``; the ball scan spelled out (enumerate the
-    ball, test membership) equals the code scan at the other radii too."""
+def _check_routes_agree(case, monkeypatch, seeds=(31,)):
+    """At every radius whose ball has at most SPELL_OUT_LIMIT words,
+    list_size_at equals the code scan, and takes the ball scan exactly at
+    ``ball_radii``; the ball scan spelled out (enumerate the ball, test
+    membership) equals the code scan at the other radii too.  One code per
+    seed, four centers per code."""
     *params, ball_radii = case
-    rng = random.Random(31)
-    code = _random_code(*params, rng)
     spans = []
 
     def spy(center, radius):
@@ -125,18 +156,23 @@ def _check_routes_agree(case, monkeypatch):
         return enumerate_ball(center, radius)
 
     monkeypatch.setattr(experiments, "enumerate_ball", spy)
-    words = list(code.iter_words())
-    centers = [_random_word(code, rng) for _ in range(3)] + [rng.choice(words)]
-    for c in centers:
-        ball_center = vec_to_mat(c) if code.repr == "vector" else c
-        for r in range(code.n + 1):
-            by_code = sum(1 for w in words if rank_distance(c, w) <= r)
-            spans.clear()
-            assert list_size_at(code, c, r) == by_code
-            assert (len(words) > ball_size_exact(code.n, code.m, code.q, r)) == (r in ball_radii)
-            assert bool(spans) == (r in ball_radii)
-            by_ball = sum(1 for w in enumerate_ball(ball_center, r) if code.contains(MatrixWord(w, code.field)))
-            assert by_ball == by_code
+    for seed in seeds:
+        rng = random.Random(seed)
+        code = _random_code(*params, rng)
+        words = list(code.iter_words())
+        radii = [r for r in range(code.n + 1) if ball_size_exact(code.n, code.m, code.q, r) <= SPELL_OUT_LIMIT]
+        centers = [_random_word(code, rng) for _ in range(3)] + [rng.choice(words)]
+        for c in centers:
+            ball_center = vec_to_mat(c) if code.repr == "vector" else c
+            dists = [rank_distance(c, w) for w in words]
+            for r in radii:
+                by_code = sum(d <= r for d in dists)
+                spans.clear()
+                assert list_size_at(code, c, r) == by_code
+                assert (len(words) > ball_size_exact(code.n, code.m, code.q, r)) == (r in ball_radii)
+                assert bool(spans) == (r in ball_radii)
+                by_ball = sum(1 for w in enumerate_ball(ball_center, r) if code.contains(MatrixWord(w, code.field)))
+                assert by_ball == by_code
 
 
 def test_ball_route_builds_only_the_center(monkeypatch):
@@ -155,9 +191,9 @@ def test_ball_route_builds_only_the_center(monkeypatch):
         built.clear()
 
 
-@pytest.mark.parametrize("case", MATRIX_CASES.values(), ids=MATRIX_CASES.keys())
-def test_list_size_routes_agree(case, monkeypatch):
-    _check_routes_agree(case, monkeypatch)
+@pytest.mark.parametrize("case,seeds", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
+def test_list_size_routes_agree(case, seeds, monkeypatch):
+    _check_routes_agree(case, monkeypatch, seeds)
 
 
 @pytest.mark.parametrize("case", VECTOR_CASES.values(), ids=VECTOR_CASES.keys())
@@ -165,9 +201,10 @@ def test_list_size_vector_repr(case, monkeypatch):
     _check_routes_agree(case, monkeypatch)
 
 
-@pytest.mark.parametrize(
-    "case", [*MATRIX_CASES.values(), *VECTOR_CASES.values()], ids=[*MATRIX_CASES, *VECTOR_CASES]
-)
+MEMBERSHIP_CASES = {**MATRIX_CASES, **VECTOR_CASES, **BALL_ROUTE_CASES, **GF2_GRID_CASES}
+
+
+@pytest.mark.parametrize("case", MEMBERSHIP_CASES.values(), ids=MEMBERSHIP_CASES.keys())
 def test_contains_matches_solve_in_span(case):
     *params, _ = case
     rng = random.Random(37)

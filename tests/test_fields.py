@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import frobenius_trace
 from sorank import linalg
 from sorank.errors import ParamError
 from sorank.fields import (
@@ -52,6 +53,16 @@ def test_field_axioms_random(q, m):
     for a in range(1, o):
         assert E.mul(a, E.inv(a)) == 1
         assert E.add(a, E.neg(a)) == 0
+
+
+# (q, m) of each field the CLI benchmark builds, with m = 1 read as GF(q) over itself.
+CLI_FIELDS = [(2, 1), (3, 1), (4, 1), (5, 1), (4, 3), (2, 4), (5, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("q,m", CLI_FIELDS)
+def test_trace_matches_frobenius_sum(q, m):
+    E = ext_field(q, m)
+    assert [E.trace(x) for x in range(E.order)] == [frobenius_trace(E, x) for x in range(E.order)]
 
 
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
