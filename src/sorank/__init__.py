@@ -19,11 +19,7 @@ from .words import (
     dump_code,
     is_self_orthogonal,
     load_code,
-    mat_to_vec,
     rank_distance,
-    trace_inner_product,
-    vec_to_mat,
-    vector_inner_product,
 )
 
 __version__ = "0.1.0"
@@ -51,13 +47,9 @@ __all__ = [
     "gaussian_binomial",
     "is_self_orthogonal",
     "load_code",
-    "mat_to_vec",
     "rank_distance",
     "rank_of_form",
     "sample_code_star",
     "sample_root",
     "so_code",
-    "trace_inner_product",
-    "vec_to_mat",
-    "vector_inner_product",
 ]

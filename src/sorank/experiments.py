@@ -21,14 +21,7 @@ from .balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, sample_from_ball
 from .construct import max_so_dimension, sample_code_star, so_code, uniform_linear_code
 from .errors import ParamError, SizeError
 from .fields import ext_field, field_from_q
-from .words import (
-    LinearCode,
-    MatrixWord,
-    VectorWord,
-    is_self_orthogonal,
-    rank_distance,
-    word_rank,
-)
+from .words import LinearCode, MatrixWord, VectorWord, is_self_orthogonal, word_rank
 
 ENSEMBLES = ("self-orthogonal", "code-star", "uniform-linear")
 _Z = 1.96  # the normal quantile of every reported (two-sided 95%) Wilson interval
@@ -84,8 +77,20 @@ def trial_rng(seed, trial):
 # -- exact list size --------------------------------------------------------
 
 
+def _count_low_rank(F, rows, start, n, m, r):
+    """The number of coefficient tuples c over F for which the n x m matrix
+    start + sum_i c_i * rows[i] (flat, row-major) has rank <= r."""
+    count = 0
+    for coeffs in itertools.product(range(F.order), repeat=len(rows)):
+        x = linalg.combine(F, coeffs, rows, start)
+        count += linalg.rank(F, [x[i * m : (i + 1) * m] for i in range(n)]) <= r
+    return count
+
+
 def list_size_at(code: LinearCode, center, r: int) -> int:
-    """|B_R(center, r) cap code|, by whichever enumeration is smaller."""
+    """|B_R(center, r) cap code|, by whichever enumeration is smaller: the
+    code scan counts the GF(q) combinations c of ``gfq_rows`` with
+    rank(center + c) <= r (C = -C), the ball scan the ball words in C."""
     if not 0 <= r <= code.n:
         raise ParamError(f"radius {r} out of range")
     if isinstance(center, MatrixWord) != (code.repr == "matrix"):
@@ -94,7 +99,8 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     code_size = code.lin_field().order ** code.k
     bsize = ball_size_exact(code.n, code.m, code.q, r) if code.n <= code.m else None
     if code_size <= ENUM_LIMIT and (bsize is None or code_size <= bsize):
-        return sum(1 for w in code.iter_words() if rank_distance(center, w) <= r)
+        start = [v for row in rows for v in row]
+        return _count_low_rank(code.field, code.gfq_rows, start, code.n, code.m, r)
     if bsize is not None and bsize <= ENUM_LIMIT:
         return sum(1 for X in enumerate_ball(MatrixWord(tuple(rows), code.field), r) if code.contains_rows(X))
     raise SizeError("both the code and the ball are too large to enumerate")
@@ -246,14 +252,13 @@ class EventEstimate:
 
 
 def span_ball_overlap(words, radius):
-    """|span{X_1..X_l} cap B_R(0, radius)| by enumerating the span."""
+    """|span{X_1..X_l} cap B_R(0, radius)|: the coefficient tuples whose
+    combination lies in the ball, over the q^(l - rank) tuples that give
+    each span word."""
     field, n, m = words[0].field, words[0].n, words[0].m
     flats = [w.flatten() for w in words]
-    seen = {
-        tuple(linalg.combine(field, coeffs, flats))
-        for coeffs in itertools.product(range(field.order), repeat=len(flats))
-    }
-    return sum(1 for v in seen if linalg.rank(field, [v[i * m : (i + 1) * m] for i in range(n)]) <= radius)
+    hits = _count_low_rank(field, flats, [0] * (n * m), n, m, radius)
+    return hits // field.order ** (len(flats) - linalg.rank(field, flats))
 
 
 def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed) -> EventEstimate:

@@ -333,10 +333,6 @@ class ExtField(_PackedField):
             return tuple(ds)
         return tuple(linalg.dot(self.base, row, ds) for row in self._digits_to_coords)
 
-    def from_coords(self, cs):
-        """The element with these coordinates over the attached basis."""
-        return linalg.dot(self, cs, self.basis)
-
     def gram(self, basis):
         """Trace Gram matrix [tr(b_i b_j)] over GF(q)."""
         return [[self.trace(self.mul(bi, bj)) for bj in basis] for bi in basis]

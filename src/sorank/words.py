@@ -2,12 +2,11 @@
 
 A rank-metric codeword lives either as an n x m matrix over GF(q)
 (linearity over GF(q)) or as a length-n vector over GF(q^m) (linearity
-over GF(q^m)).  The two pictures are glued by expanding each vector
-coordinate over a basis of the extension; with a self-dual basis the trace
-inner product of matrices and the traced vector inner product agree
-pairwise.  A ``LinearCode`` is its k flat rows over the field it is linear
-over; word objects are built only for single words: the caller's, the
-basis and ``iter_words``.
+over GF(q^m)).  A vector word's matrix picture expands each coordinate
+over the attached basis of the extension.  A ``LinearCode`` is its k flat
+rows over the field it is linear over, and ``gfq_rows`` spans it over GF(q)
+in the matrix picture; word objects are built only for single words: the
+caller's, the basis and ``iter_words``.
 """
 
 from __future__ import annotations
@@ -96,7 +95,8 @@ class VectorWord:
 def _base_rows(w):
     """(GF(q), rows of an n x m matrix over GF(q) with the rank of w).  A
     vector word's coordinates give their polynomial-basis digits: cheaper
-    than ``vec_to_mat``'s expansion, and rank does not depend on the basis."""
+    than an expansion over the attached basis, and rank does not depend on
+    the basis."""
     if isinstance(w, MatrixWord):
         return w.field, w.entries
     ext = w.field
@@ -118,31 +118,6 @@ def rank_distance(X, Y):
     if (len(xs), len(xs[0])) != (len(ys), len(ys[0])):
         raise ParamError("dimension mismatch")
     return linalg.rank(F, [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(xs, ys)])
-
-
-def trace_inner_product(X: MatrixWord, Y: MatrixWord):
-    """Tr(X Y^T) = sum of entrywise products, an element of GF(q)."""
-    if (X.n, X.m) != (Y.n, Y.m):
-        raise ParamError("dimension mismatch")
-    return linalg.dot(X.field, X.flatten(), Y.flatten())
-
-
-def vector_inner_product(x: VectorWord, y: VectorWord):
-    """<x, y> = sum x_i y_i in GF(q^m)."""
-    if x.n != y.n:
-        raise ParamError("length mismatch")
-    return linalg.dot(x.field, x.coords, y.coords)
-
-
-def mat_to_vec(X: MatrixWord, ext: ExtField) -> VectorWord:
-    """Row i of X holds the attached-basis coordinates of vector coordinate i."""
-    if X.m != ext.m or X.field.order != ext.q:
-        raise ParamError("matrix shape does not match the extension")
-    return VectorWord(tuple(ext.from_coords(row) for row in X.entries), ext)
-
-
-def vec_to_mat(x: VectorWord) -> MatrixWord:
-    return MatrixWord(tuple(x.field.coords(c) for c in x.coords), x.field.base)
 
 
 def flat_space(repr, field, ext, n, m):
@@ -226,12 +201,23 @@ class LinearCode:
             yield self._word(linalg.combine(F, coeffs, rows))
 
     @cached_property
+    def gfq_rows(self):
+        """The code's basis over GF(q) as flat row-major n x m rows: ``rows``
+        for a matrix code; for a vector code the km rows b * g read over the
+        attached basis (as ``matrix_rows`` reads a word), for each row g and
+        each b in ``ext.basis``."""
+        ext = self.ext
+        if ext is None:
+            return self.rows
+        return tuple(tuple(v for c in g for v in ext.coords(ext.mul(b, c))) for g in self.rows for b in ext.basis)
+
+    @cached_property
     def parity_check(self):
         """Rows over GF(q) whose dot products with the flattened (row-major)
         n x m matrix X all vanish exactly when X lies in the code.
 
         A vector code is read in its matrix picture over the attached basis
-        beta_1..beta_m, the one ``vec_to_mat`` expands over: x_i is
+        beta_1..beta_m, the one ``matrix_rows`` expands over: x_i is
         sum_j X_ij beta_j.  For each row h of its GF(q^m) parity-check
         matrix, h . x = sum_ij X_ij (h_i beta_j) vanishes iff each of its m
         base-q digits does, and digit t gives the GF(q) row

@@ -12,7 +12,7 @@ from sorank import linalg
 from sorank.balls import gaussian_binomial
 from sorank.errors import ParamError
 from sorank.quadforms import QuadraticForm
-from sorank.words import VectorWord, trace_inner_product, vec_to_mat, vector_inner_product
+from sorank.words import MatrixWord, VectorWord
 
 
 def gb_recurrence_holds(n, k, q):
@@ -55,6 +55,37 @@ def transform(f: QuadraticForm, M):
                 if Mj[t]:
                     row[t] = add(row[t], mul(am, Mj[t]))
     return from_full_matrix(F, G)
+
+
+def trace_inner_product(X: MatrixWord, Y: MatrixWord):
+    """Tr(X Y^T) = sum of entrywise products, an element of GF(q)."""
+    if (X.n, X.m) != (Y.n, Y.m):
+        raise ParamError("dimension mismatch")
+    return linalg.dot(X.field, X.flatten(), Y.flatten())
+
+
+def vector_inner_product(x: VectorWord, y: VectorWord):
+    """<x, y> = sum x_i y_i in GF(q^m)."""
+    if x.n != y.n:
+        raise ParamError("length mismatch")
+    return linalg.dot(x.field, x.coords, y.coords)
+
+
+def from_coords(ext, cs):
+    """The element of ``ext`` with these coordinates over its attached basis."""
+    return linalg.dot(ext, cs, ext.basis)
+
+
+def mat_to_vec(X: MatrixWord, ext) -> VectorWord:
+    """Row i of X holds the attached-basis coordinates of vector coordinate i."""
+    if X.m != ext.m or X.field.order != ext.q:
+        raise ParamError("matrix shape does not match the extension")
+    return VectorWord(tuple(from_coords(ext, row) for row in X.entries), ext)
+
+
+def vec_to_mat(x: VectorWord) -> MatrixWord:
+    """Each coordinate expanded over the attached basis of its extension."""
+    return MatrixWord(tuple(x.field.coords(c) for c in x.coords), x.field.base)
 
 
 def lemma1_pair_identity(a: VectorWord, b: VectorWord):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import from_full_matrix
+from oracles import from_full_matrix, trace_inner_product, vector_inner_product
 from sorank import construct, linalg, quadforms
 from sorank.construct import (
     max_so_dimension,
@@ -21,8 +21,6 @@ from sorank.words import (
     dump_code,
     is_contained_in_dual,
     is_self_orthogonal,
-    trace_inner_product,
-    vector_inner_product,
 )
 
 F2 = field_from_q(2)

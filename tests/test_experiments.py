@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from oracles import solve_in_span
-from sorank import experiments
+from oracles import solve_in_span, vec_to_mat
+from sorank import experiments, linalg
 from sorank.balls import ball_size_exact, enumerate_ball
 from sorank.construct import max_so_dimension, uniform_linear_code
 from sorank.errors import ParamError
@@ -27,7 +27,7 @@ from sorank.experiments import (
     wilson_interval,
 )
 from sorank.fields import ExtField, ext_field, field_from_q
-from sorank.words import LinearCode, MatrixWord, VectorWord, rank_distance, vec_to_mat
+from sorank.words import LinearCode, MatrixWord, VectorWord, rank_distance
 
 F2 = field_from_q(2)
 
@@ -175,8 +175,9 @@ def _check_routes_agree(case, monkeypatch, seeds=(31,)):
                 assert by_ball == by_code
 
 
-def test_ball_route_builds_only_the_center(monkeypatch):
-    """The ball scan builds one word, its center, and none per ball word."""
+def test_list_size_routes_build_no_word_per_scanned_word(monkeypatch):
+    """The ball scan (r = 1 here) builds one word, its center, and none per
+    ball word; the code scan (r = 2) builds none at all."""
     rng = random.Random(31)
     codes = [_random_code(*case[:-1], rng) for case in (MATRIX_CASES["GF3-2x3-k5"], VECTOR_CASES["GF8-n3-k2"])]
     centers = [_random_word(code, rng) for code in codes]
@@ -184,11 +185,46 @@ def test_ball_route_builds_only_the_center(monkeypatch):
     for cls in (MatrixWord, VectorWord):
         post_init = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(self) or f(self))
-    for code, center in zip(codes, centers):
-        assert ball_size_exact(code.n, code.m, code.q, 1) < code.lin_field().order ** code.k  # the ball route
-        list_size_at(code, center, 1)
-        assert len(built) == 1
+    for (code, center), r in itertools.product(zip(codes, centers), (1, 2)):
+        ball_route = ball_size_exact(code.n, code.m, code.q, r) < code.lin_field().order ** code.k
+        assert ball_route == (r == 1)
+        list_size_at(code, center, r)
+        assert len(built) == ball_route
         built.clear()
+
+
+# Vector codes longer than m: no ball size exists for n > m, so only the
+# code scan can run.
+TALL_VECTOR_CASES = {
+    "GF4-n5-k2": (2, 5, 2, 2, ext_field(2, 2)),
+    "GF9-n4-k1": (3, 4, 2, 1, ext_field(3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", TALL_VECTOR_CASES.values(), ids=TALL_VECTOR_CASES.keys())
+def test_list_size_tall_vector_codes(case):
+    rng = random.Random(43)
+    code = _random_code(*case, rng)
+    words = list(code.iter_words())
+    centers = [_random_word(code, rng) for _ in range(6)] + [rng.choice(words)]
+    for c in centers:
+        dists = [rank_distance(c, w) for w in words]
+        for r in range(code.n + 1):
+            assert list_size_at(code, c, r) == sum(d <= r for d in dists)
+
+
+@pytest.mark.parametrize("case", VECTOR_CASES.values(), ids=VECTOR_CASES.keys())
+def test_gfq_rows_span_the_matrix_pictures(case):
+    """The GF(q) span of ``gfq_rows`` is the set of the codewords' matrix
+    pictures over the code's attached basis, and the km rows are independent."""
+    *params, _ = case
+    code = _random_code(*params, random.Random(47))
+    F, rows = code.field, code.gfq_rows
+    assert len(rows) == code.k * code.m and linalg.is_independent(F, rows)
+    zero = [0] * (code.n * code.m)
+    span = {tuple(linalg.combine(F, c, rows, zero)) for c in itertools.product(range(F.order), repeat=len(rows))}
+    pictures = {tuple(v for row in code.matrix_rows(w) for v in row) for w in code.iter_words()}
+    assert span == pictures
 
 
 @pytest.mark.parametrize("case,seeds", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
@@ -348,6 +384,16 @@ def test_span_ball_overlap_oracle():
     assert span_ball_overlap([X, Y], 1) == 3
     assert span_ball_overlap([X, Y], 2) == 4
     assert span_ball_overlap([X], 1) == 2
+    # dependent draws: each span word is hit q^(l - rank) times, counted once
+    assert span_ball_overlap([X, X], 1) == span_ball_overlap([X], 1) == 2
+    XY = MatrixWord(((1, 0), (0, 1)), F2)
+    for r in (0, 1, 2):
+        assert span_ball_overlap([X, Y, XY], r) == span_ball_overlap([X, Y], r)
+    F3 = field_from_q(3)
+    Z = MatrixWord(((1, 2), (0, 1)), F3)
+    Z2 = MatrixWord(((2, 1), (0, 2)), F3)
+    assert span_ball_overlap([Z, Z2], 1) == span_ball_overlap([Z], 1) == 1
+    assert span_ball_overlap([Z, Z2], 2) == span_ball_overlap([Z], 2) == 3
 
 
 def test_lemma47_estimate():

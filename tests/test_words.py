@@ -4,7 +4,7 @@ import pytest
 
 from sorank import linalg
 from sorank.errors import FormatError, ParamError
-from oracles import lemma1_pair_identity
+from oracles import lemma1_pair_identity, mat_to_vec, trace_inner_product, vec_to_mat, vector_inner_product
 from sorank.fields import ExtField, ext_field, field_from_q, find_self_dual_basis
 from sorank.words import (
     LinearCode,
@@ -15,11 +15,7 @@ from sorank.words import (
     is_contained_in_dual,
     is_self_orthogonal,
     load_code,
-    mat_to_vec,
     rank_distance,
-    trace_inner_product,
-    vec_to_mat,
-    vector_inner_product,
     word_rank,
 )
 
