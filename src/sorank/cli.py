@@ -1,16 +1,18 @@
 """Command-line entry point.
 
 Subcommands: construct, dual, verify, ball, roots, selfdual-basis,
-experiment.  Exit codes: 0 success, 1 domain error (single machine-parsable
-line ``error: <code>: <message>`` on stderr and nothing on stdout), 2 usage
-error.  The default seed is the constant 0, never wall-clock entropy:
-reruns must be byte-identical.
+experiment; each subparser names its handler (``run``), and the parser is
+built once per process, on the first ``main`` call.  Exit codes: 0 success,
+1 domain error (single machine-parsable line ``error: <code>: <message>`` on
+stderr and nothing on stdout), 2 usage error.  The default seed is the
+constant 0, never wall-clock entropy: reruns must be byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import math
 import random
@@ -23,6 +25,7 @@ from .fields import ext_field, field_from_q, find_self_dual_basis
 from .quadforms import QuadraticForm, count_roots_brute, count_roots_formula, rank_of_form, sample_root
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="sorank", description="Self-orthogonal rank-metric code toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -34,10 +37,10 @@ def _build_parser():
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--seed", type=int, default=0)
+    c.set_defaults(run=_cmd_construct)
 
-    d = sub.add_parser("dual", help="dual of a code read from stdin")
-
-    v = sub.add_parser("verify", help="verify a code read from stdin")
+    sub.add_parser("dual", help="dual of a code read from stdin").set_defaults(run=_cmd_dual)
+    sub.add_parser("verify", help="verify a code read from stdin").set_defaults(run=_cmd_verify)
 
     b = sub.add_parser("ball", help="rank-metric ball size")
     b.add_argument("--q", type=int, required=True)
@@ -47,6 +50,7 @@ def _build_parser():
     b.add_argument("--exact", action="store_true")
     b.add_argument("--bound", action="store_true")
     b.add_argument("--tau", type=float)
+    b.set_defaults(run=_cmd_ball)
 
     r = sub.add_parser("roots", help="root counts of a quadratic form")
     r.add_argument("--q", type=int, required=True)
@@ -56,20 +60,19 @@ def _build_parser():
     r.add_argument("--sample", action="store_true", help="also print one uniform root")
     r.add_argument("--nonzero", action="store_true")
     r.add_argument("--seed", type=int, default=0)
+    r.set_defaults(run=_cmd_roots)
 
     s = sub.add_parser("selfdual-basis", help="find a self-dual basis of GF(q^m)")
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--seed", type=int, default=0, help="ignored: the basis is deterministic")
+    s.set_defaults(run=_cmd_selfdual_basis)
 
     e = sub.add_parser("experiment", help="run a seeded list-size experiment")
     e.add_argument("--config", required=True, help="key=value config file")
     e.add_argument("--emit-hist", metavar="PATH", help="write a two-column histogram CSV")
+    e.set_defaults(run=_cmd_experiment)
     return p
-
-
-def _log(msg):
-    print(msg, file=sys.stderr)
 
 
 def _cmd_construct(args, out):
@@ -176,9 +179,9 @@ def _parse_config(path):
 
 def _cmd_experiment(args, out):
     cfg = _parse_config(args.config)
-    _log(f"resolved config: {dataclasses.asdict(cfg)}")
+    print(f"resolved config: {dataclasses.asdict(cfg)}", file=sys.stderr)
     report = experiments.max_list_size_experiment(cfg)
-    _log(f"wall time: {report.wall_time:.3f}s")
+    print(f"wall time: {report.wall_time:.3f}s", file=sys.stderr)
     out.write(report.to_csv())
     if args.emit_hist:
         with open(args.emit_hist, "w") as fh:
@@ -186,25 +189,13 @@ def _cmd_experiment(args, out):
     return 0
 
 
-_COMMANDS = {
-    "construct": _cmd_construct,
-    "dual": _cmd_dual,
-    "verify": _cmd_verify,
-    "ball": _cmd_ball,
-    "roots": _cmd_roots,
-    "selfdual-basis": _cmd_selfdual_basis,
-    "experiment": _cmd_experiment,
-}
-
-
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # A command's output is held back until it has finished, so a command
     # that fails with a domain error writes nothing to stdout.
     out = io.StringIO()
     try:
-        code = _COMMANDS[args.command](args, out)
+        code = args.run(args, out)
     except ToolkitError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1

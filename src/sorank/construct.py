@@ -109,8 +109,6 @@ def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode
         raise ParamError("k must be >= 1")
     if 2 * k > D:
         raise ParamError(f"k={k} exceeds half the ambient dimension {D}")
-    if k >= 2 and k - 1 > max_so_dimension(D):
-        raise ParamError(f"k-1={k - 1} exceeds the construction limit {max_so_dimension(D)}")
     rows = so_flat_vectors(F, D, k - 1, rng) if k >= 2 else []
     rows.append(_outside_span(F, D, k, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
     return LinearCode(rows, field or ext.base, n, m, ext)

@@ -21,7 +21,7 @@ from .balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, sample_from_ball
 from .construct import max_so_dimension, sample_code_star, so_code, uniform_linear_code
 from .errors import ParamError, SizeError
 from .fields import ext_field, field_from_q
-from .words import LinearCode, MatrixWord, VectorWord, is_self_orthogonal, word_rank
+from .words import LinearCode, MatrixWord, is_self_orthogonal, word_rank
 
 ENSEMBLES = ("self-orthogonal", "code-star", "uniform-linear")
 _Z = 1.96  # the normal quantile of every reported (two-sided 95%) Wilson interval
@@ -198,14 +198,6 @@ def _draw_code(cfg: ExperimentConfig, k, rng):
     return uniform_linear_code(field, cfg.n, cfg.m, k, rng, repr=cfg.repr, ext=ext)
 
 
-def _uniform_center(cfg: ExperimentConfig, rng):
-    if cfg.repr == "matrix":
-        rows = tuple(tuple(rng.randrange(cfg.q) for _ in range(cfg.m)) for _ in range(cfg.n))
-        return MatrixWord(rows, field_from_q(cfg.q))
-    ext = ext_field(cfg.q, cfg.m)
-    return VectorWord(tuple(rng.randrange(ext.order) for _ in range(cfg.n)), ext)
-
-
 def max_list_size_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Per trial: fresh code from the ensemble, uniform random center,
     exact list size at radius floor(tau * n)."""
@@ -217,7 +209,7 @@ def max_list_size_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         cs = trial_seed(cfg.seed, t)
         rng = random.Random(cs)
         code = _draw_code(cfg, k, rng)
-        center = _uniform_center(cfg, rng)
+        center = code.word([rng.randrange(code.lin_field().order) for _ in range(code.width)])
         list_sizes.append(list_size_at(code, center, r))
         center_ranks.append(word_rank(center))
         code_seeds.append(cs)

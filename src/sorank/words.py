@@ -5,8 +5,9 @@ A rank-metric codeword lives either as an n x m matrix over GF(q)
 over GF(q^m)).  A vector word's matrix picture expands each coordinate
 over the attached basis of the extension.  A ``LinearCode`` is its k flat
 rows over the field it is linear over, and ``gfq_rows`` spans it over GF(q)
-in the matrix picture; word objects are built only for single words: the
-caller's, the basis and ``iter_words``.
+in the matrix picture; word objects are built only for single words
+(``word``): the caller's, the basis and ``iter_words``.  ``dual`` and
+``parity_check`` read one kernel, computed once per code.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ class LinearCode:
         """The field over which the code is linear."""
         return self.field if self.ext is None else self.ext
 
-    def _word(self, row):
+    def word(self, row):
+        """The word whose flat row over the linearity field is ``row``."""
         if self.ext is None:
             return MatrixWord.from_flat(row, self.field, self.n, self.m)
         return VectorWord(row, self.ext)
@@ -191,14 +193,14 @@ class LinearCode:
     @cached_property
     def basis(self):
         """The k basis words, built on first use."""
-        return tuple(self._word(row) for row in self.rows)
+        return tuple(self.word(row) for row in self.rows)
 
     def iter_words(self):
         """All |F|^k codewords (desk scale only), in ``itertools.product``
         order of their basis coefficients."""
         F, rows = self.lin_field(), self.rows or [(0,) * self.width]  # k = 0: the zero word
         for coeffs in itertools.product(range(F.order), repeat=self.k):
-            yield self._word(linalg.combine(F, coeffs, rows))
+            yield self.word(linalg.combine(F, coeffs, rows))
 
     @cached_property
     def gfq_rows(self):
@@ -212,24 +214,30 @@ class LinearCode:
         return tuple(tuple(v for c in g for v in ext.coords(ext.mul(b, c))) for g in self.rows for b in ext.basis)
 
     @cached_property
+    def _kernel(self):
+        """Rows spanning the dual over the linearity field; ``dual`` gives
+        the code it returns the original code's rows here."""
+        return tuple(map(tuple, linalg.nullspace(self.lin_field(), self.rows or [[0] * self.width])))
+
+    @cached_property
     def parity_check(self):
         """Rows over GF(q) whose dot products with the flattened (row-major)
-        n x m matrix X all vanish exactly when X lies in the code.
+        n x m matrix X all vanish exactly when X lies in the code, read off
+        the kernel: its rows for a matrix code.
 
         A vector code is read in its matrix picture over the attached basis
         beta_1..beta_m, the one ``matrix_rows`` expands over: x_i is
-        sum_j X_ij beta_j.  For each row h of its GF(q^m) parity-check
-        matrix, h . x = sum_ij X_ij (h_i beta_j) vanishes iff each of its m
-        base-q digits does, and digit t gives the GF(q) row
-        [digit_t(h_i beta_j)]_ij.  This needs one elimination over GF(q^m)
-        on n columns instead of one over GF(q) on nm columns.
+        sum_j X_ij beta_j.  For each kernel row h over GF(q^m),
+        h . x = sum_ij X_ij (h_i beta_j) vanishes iff each of its m base-q
+        digits does, and digit t gives the GF(q) row
+        [digit_t(h_i beta_j)]_ij.  The kernel needs one elimination over
+        GF(q^m) on n columns instead of one over GF(q) on nm columns.
         """
-        H = linalg.nullspace(self.lin_field(), self.rows or [[0] * self.width])
         if self.ext is None:
-            return tuple(tuple(h) for h in H)
+            return self._kernel
         ext = self.ext
         rows = []
-        for h in H:
+        for h in self._kernel:
             digits = [ext.to_digits(ext.mul(hi, b)) for hi in h for b in ext.basis]
             rows.extend(tuple(d[t] for d in digits) for t in range(self.m))
         return tuple(rows)
@@ -277,9 +285,12 @@ class LinearCode:
 
 def dual(code: LinearCode) -> LinearCode:
     """Dual under the standard dot product over the linearity field:
-    Tr(C X^T) = 0 for matrix codes, <g, x> = 0 over GF(q^m) for vector codes."""
-    ns = linalg.nullspace(code.lin_field(), code.rows or [[0] * code.width])
-    return LinearCode(ns, code.field, code.n, code.m, code.ext)
+    Tr(C X^T) = 0 for matrix codes, <g, x> = 0 over GF(q^m) for vector codes.
+    Its kernel is the code's rows, as (C^perp)^perp = C, so its
+    ``parity_check`` needs no elimination and ``dual(dual(C))`` has C's rows."""
+    d = LinearCode(code._kernel, code.field, code.n, code.m, code.ext)
+    d.__dict__["_kernel"] = code.rows  # the cached_property's slot
+    return d
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:

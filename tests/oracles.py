@@ -7,6 +7,7 @@ be checked against it.
 """
 
 import itertools
+from fractions import Fraction
 
 from sorank import linalg
 from sorank.balls import gaussian_binomial
@@ -136,3 +137,35 @@ def iter_roots_brute(f: QuadraticForm, nonzero=False):
             continue
         if f.evaluate(x) == 0:
             yield x
+
+
+def span_key(F, rows):
+    """The nonzero RREF rows of span(rows): one key per subspace."""
+    R, pivots = linalg.rref(F, rows)
+    return tuple(tuple(row) for row in R[: len(pivots)])
+
+
+def so_code_law(F, D, k):
+    """The exact law of the span of ``so_flat_vectors(F, D, k)`` at desk
+    scale, as {span_key: Fraction}.  Each step draws uniformly among the
+    N_j nonzero isotropic vectors orthogonal to those drawn so far and
+    outside their span, so every ordered basis this can draw has weight
+    prod_j 1 / N_j; a code's probability sums its ordered bases."""
+    isotropic = [v for v in itertools.product(range(F.order), repeat=D) if any(v) and not linalg.dot(F, v, v)]
+    law = {}
+
+    def extend(basis, weight):
+        if len(basis) == k:
+            key = span_key(F, basis)
+            law[key] = law.get(key, 0) + weight
+            return
+        candidates = [
+            v
+            for v in isotropic
+            if not any(linalg.dot(F, v, b) for b in basis) and linalg.is_independent(F, basis + [v])
+        ]
+        for v in candidates:
+            extend(basis + [v], weight / len(candidates))
+
+    extend([], Fraction(1))
+    return law

@@ -16,7 +16,7 @@ from sorank.balls import (
     rank_stratum_count,
     sample_from_ball,
 )
-from sorank.errors import ParamError
+from sorank.errors import ParamError, SizeError
 from sorank.fields import field_from_q
 from sorank.words import MatrixWord, rank_distance
 
@@ -227,3 +227,19 @@ def test_ball_streams_pinned(q, n, m, r):
     )
     got = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in outputs)
     assert got == BALL_STREAMS[q, n, m, r]
+
+
+# Each argument check with the error class it raises.
+BAD_ARGUMENTS = {
+    "stratum-rank-above-min": (lambda: rank_stratum_count(2, 3, 2, 3), ParamError),
+    "stratum-rank-negative": (lambda: rank_stratum_count(2, 3, 2, -1), ParamError),
+    "bound-tau-zero": (lambda: ball_size_upper_bound(2, 3, 2, 0.0), ParamError),
+    "bound-tau-one": (lambda: ball_size_upper_bound(2, 3, 2, 1.0), ParamError),
+    "enumerate-over-2^22": (lambda: next(enumerate_ball(MatrixWord.zero(F2, 4, 8), 4)), SizeError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -1,4 +1,6 @@
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import sorank
-from sorank.fields import ext_field
+from sorank import cli
+from sorank.construct import so_code
+from sorank.fields import ext_field, field_from_q
+from sorank.words import dump_code
 
 BASE = [sys.executable, "-m", "sorank.cli"]
 # The CLI subprocess imports the same sorank as the tests, from a checkout too.
@@ -147,3 +152,44 @@ def test_experiment_config_errors(tmp_path):
     assert out.returncode == 1 and out.stderr == "error: E_FORMAT: bad config line: 'junk'\n"
     out = run_cli("experiment", "--config", str(tmp_path / "absent.cfg"))
     assert out.returncode == 1 and out.stderr.startswith("error: E_FORMAT:")
+
+
+def test_in_process_calls_match_the_subprocess(tmp_path, monkeypatch, capsys):
+    # Many `cli.main` calls in one process, as a caller that imports the CLI
+    # makes them: each prints what a fresh process prints and exits alike, a
+    # usage error leaves the next call working, and the parser is built once.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("q=2\nn=2\nm=4\ntau=0.5\nepsilon=0.1\ntrials=5\nseed=42\n")
+    code = dump_code(so_code(field_from_q(2), 5, 3, 2, random.Random(3), repr="vector", ext=ext_field(2, 3)))
+    calls = [
+        (["construct", "--q", "2", "--n", "2", "--m", "4", "--k", "3", "--seed", "1"], ""),
+        (["dual"], code),
+        (["verify"], code),
+        (["ball", "--q", "2", "--n", "4", "--m", "6", "--r", "2", "--exact"], ""),
+        (["ball", "--q", "3", "--n", "3", "--m", "5", "--tau", "0.5", "--bound"], ""),
+        (["roots", "--q", "2", "--ext-m", "4", "--nvars", "3", "--coeffs", "1,2,3,4,5,6", "--sample"], ""),
+        (["selfdual-basis", "--q", "2", "--m", "3"], ""),
+        (["experiment", "--config", str(cfg)], ""),
+        (["roots", "--q", "2", "--nvars", "1", "--coeffs", "1", "--sample", "--nonzero"], ""),  # domain error
+    ]
+    procs = [
+        subprocess.Popen(BASE + argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
+        for argv, _ in calls
+    ]
+    expected = []
+    for proc, (_, stdin) in zip(procs, calls):
+        out, _ = proc.communicate(stdin, timeout=120)
+        expected.append((proc.returncode, out))
+
+    def in_process(argv, stdin=""):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        return cli.main(argv), capsys.readouterr().out
+
+    cli._build_parser.cache_clear()
+    assert [in_process(*call) for call in calls] == expected
+    assert expected[-1] == (1, "")
+    with pytest.raises(SystemExit) as exc:
+        in_process(["nonsense"])
+    assert exc.value.code == 2
+    assert in_process(*calls[3]) == expected[3]
+    assert cli._build_parser.cache_info().misses == 1

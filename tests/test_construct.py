@@ -1,8 +1,11 @@
+import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from oracles import from_full_matrix, trace_inner_product, vector_inner_product
+from oracles import from_full_matrix, so_code_law, span_key, trace_inner_product, vector_inner_product
 from sorank import construct, linalg, quadforms
 from sorank.construct import (
     max_so_dimension,
@@ -41,6 +44,8 @@ def test_parameter_validation():
         so_flat_vectors(F2, 4, 0, rng)
     with pytest.raises(ParamError):
         sample_code_star(F2, 2, 2, 3, rng)
+    with pytest.raises(ParamError):
+        sample_code_star(F2, 2, 2, 0, rng)
     with pytest.raises(ParamError):
         construct.uniform_linear_code(F2, 2, 2, 5, rng)
     assert construct.uniform_linear_code(F2, 2, 2, 4, rng).k == 4  # the whole space
@@ -210,3 +215,66 @@ def test_restricted_form_is_the_folded_gram(q):
                 B = linalg.nullspace(F, found[:j])
                 gram = [[linalg.dot(F, s, t) for t in B] for s in B]
                 assert construct._restricted_form(F, B).coeffs == from_full_matrix(F, gram).coeffs
+
+
+def _closed_form_law(F, D, codes):
+    """Each code's probability under so_code in characteristic 2, from the
+    closed-form step counts N_j = q^(D - j - [1 not in S_j]) - q^j: there
+    <v, v> = (sum_i v_i)^2, so the isotropic vectors are the hyperplane
+    orthogonal to the all-ones word 1, and all of S_j^perp when 1 is in S_j."""
+    q, ones = F.order, [(1,) * D]
+
+    def weight(code_words, k, basis):
+        j = len(basis)
+        if j == k:
+            return Fraction(1)
+        N = q ** (D - j - (not linalg.spans_contain(F, basis, ones))) - q**j
+        return sum(weight(code_words, k, basis + [v]) for v in code_words if linalg.is_independent(F, basis + [v])) / N
+
+    law = {}
+    for key in codes:
+        code_words = [linalg.combine(F, c, key) for c in itertools.product(range(q), repeat=len(key))]
+        law[key] = weight(code_words, len(key), [])
+    return law
+
+
+def test_so_code_law_in_characteristic_two_is_the_closed_form():
+    # q = 2, 2 x 3 matrices, k = 2: 75 self-orthogonal codes, and the codes
+    # containing 1 get less mass than under the uniform law.
+    D, k = 6, 2
+    law = so_code_law(F2, D, k)
+    vectors = list(itertools.product(range(2), repeat=D))
+    codes = {
+        span_key(F2, [u, v])
+        for u, v in itertools.product(vectors, repeat=2)
+        if linalg.is_independent(F2, [u, v]) and not any(linalg.dot(F2, a, b) for a in (u, v) for b in (u, v))
+    }
+    assert len(codes) == 75 and set(law) == codes
+    assert law == _closed_form_law(F2, D, codes)
+    with_ones = [key for key in codes if linalg.spans_contain(F2, key, [(1,) * D])]
+    assert len(with_ones) == 15
+    assert sum(law[key] for key in with_ones) == Fraction(37, 217) < Fraction(15, 75)
+
+
+def test_so_code_law_in_odd_characteristic_is_uniform():
+    # q = 3, 1 x 5 matrices, k = 2: all 40 self-orthogonal codes alike.
+    law = so_code_law(F3, 5, 2)
+    assert len(law) == 40 and set(law.values()) == {Fraction(1, 40)}
+
+
+def test_so_code_draws_follow_the_exact_law():
+    from scipy import stats
+
+    law = so_code_law(F2, 6, 2)
+    rng = random.Random(2026)
+    draws = 3000
+    counts = Counter(span_key(F2, so_code(F2, 2, 3, 2, rng).rows) for _ in range(draws))
+    assert set(counts) <= set(law)
+    observed = [counts[key] for key in law]
+    assert stats.chisquare(observed, [float(draws * p) for p in law.values()]).pvalue > 0.001
+    # Pooled by whether the code contains 1, the same draws fit the exact
+    # mass 37/217 and reject the uniform law's 15/75.
+    hits = sum(counts[key] for key in law if linalg.spans_contain(F2, key, [(1,) * 6]))
+    for mass, fits in ((Fraction(37, 217), True), (Fraction(15, 75), False)):
+        expected = [float(draws * mass), float(draws * (1 - mass))]
+        assert (stats.chisquare([hits, draws - hits], expected).pvalue > 0.001) == fits

@@ -8,8 +8,8 @@ import pytest
 from oracles import solve_in_span, vec_to_mat
 from sorank import experiments, linalg
 from sorank.balls import ball_size_exact, enumerate_ball
-from sorank.construct import max_so_dimension, uniform_linear_code
-from sorank.errors import ParamError
+from sorank.construct import max_so_dimension, so_code, uniform_linear_code
+from sorank.errors import ParamError, SizeError
 from sorank.experiments import (
     EventEstimate,
     ExperimentConfig,
@@ -27,7 +27,7 @@ from sorank.experiments import (
     wilson_interval,
 )
 from sorank.fields import ExtField, ext_field, field_from_q
-from sorank.words import LinearCode, MatrixWord, VectorWord, rank_distance
+from sorank.words import LinearCode, MatrixWord, VectorWord, dual, rank_distance
 
 F2 = field_from_q(2)
 
@@ -260,6 +260,43 @@ def test_contains_matches_solve_in_span(case):
         code.contains(MatrixWord.zero(code.field, code.n, code.m + 1))
 
 
+@pytest.mark.parametrize("case", MEMBERSHIP_CASES.values(), ids=MEMBERSHIP_CASES.keys())
+def test_dual_contains_matches_solve_in_span(case):
+    # The dual's parity check is read off the code's own rows, not a second
+    # elimination; membership must still be membership in the dual's span.
+    *params, _ = case
+    rng = random.Random(41)
+    code = _random_code(*params, rng)
+    d = dual(code)
+    assert dual(d).rows == code.rows
+    L = code.lin_field()
+    rows = d.rows or [(0,) * code.width]
+    inside = [code.word(linalg.combine(L, [rng.randrange(L.order) for _ in rows], rows)) for _ in range(10)]
+    outside = list(code.basis) + [_random_word(code, rng) for _ in range(30)]
+    for w in inside + outside:
+        target = list(w.flatten()) if code.repr == "matrix" else list(w.coords)
+        expected = solve_in_span(L, d.rows, target) is not None
+        assert d.contains(w) == expected
+        if code.repr == "vector":
+            assert d.contains(vec_to_mat(w)) == expected
+    assert all(d.contains(w) for w in inside)
+
+
+def test_dual_and_its_check_run_one_elimination(monkeypatch):
+    codes = [
+        so_code(field_from_q(3), 2, 3, 2, random.Random(5)),
+        so_code(F2, 5, 3, 2, random.Random(5), repr="vector", ext=E8_NONPOLY),
+    ]
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda F, rows: calls.append(rows) or nullspace(F, rows))
+    for code in codes:
+        calls.clear()
+        d = dual(code)
+        assert all(d.contains(w) for w in code.basis)
+        assert len(calls) == 1
+
+
 def test_vector_words_read_over_the_code_basis():
     # A vector word may carry another ExtField object for the code's GF(q^m),
     # with another attached basis: its coordinates are the same field
@@ -440,3 +477,26 @@ def test_lemma48_bound_and_estimate():
         lemma48_event_estimate(2, 2, 4, 3, [], 10, seed=0)
     with pytest.raises(ParamError):
         lemma48_event_estimate(2, 2, 2, 2, fixed[:1], 10, seed=0)
+
+
+_CONFIG = dict(q=2, n=2, m=4, tau=0.5, epsilon=0.1, trials=1)
+_X = MatrixWord(((1, 0, 0, 0), (0, 0, 0, 0)), F2)
+# A 23-dimensional code in 4 x 8 matrices: more codewords than ENUM_LIMIT,
+# and a ball of radius 4 (all 2^32 matrices) larger still.
+_BIG = LinearCode([[int(i == j) for j in range(32)] for i in range(23)], F2, 4, 8)
+# Each argument check with the error class it raises.
+BAD_ARGUMENTS = {
+    "gv-rho-above-one": (lambda: gv_rate(0.5, 1.5, 0.1), ParamError),
+    "list-radius-negative": (lambda: list_size_at(_BIG, MatrixWord.zero(F2, 4, 8), -1), ParamError),
+    "list-radius-above-n": (lambda: list_size_at(_BIG, MatrixWord.zero(F2, 4, 8), 5), ParamError),
+    "list-code-and-ball-too-large": (lambda: list_size_at(_BIG, MatrixWord.zero(F2, 4, 8), 4), SizeError),
+    "config-unknown-repr": (lambda: ExperimentConfig(**_CONFIG, repr="tensor"), ParamError),
+    "lemma47-span-over-2^20": (lambda: lemma47_event_estimate(2, 2, 4, 0.5, 21, 1.0, 1, 0), SizeError),
+    "lemma48-dependent-set": (lambda: lemma48_event_estimate(2, 2, 4, 3, [_X, _X], 1, 0), ParamError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()

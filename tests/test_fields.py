@@ -135,3 +135,20 @@ def test_singular_basis_rejected():
         ExtField(field_from_q(3), 2, basis=(1,))
     with pytest.raises(ParamError):
         ExtField(field_from_q(2), 3, basis=(1, 2, 12))  # 12 is no element of GF(8)
+
+
+# Each argument check with the error class it raises.
+BAD_ARGUMENTS = {
+    "non-prime-characteristic": (lambda: Field(4), ParamError),
+    "degree-zero": (lambda: Field(2, 0), ParamError),
+    "order-over-2^20": (lambda: Field(2, 21), ParamError),
+    "inverse-of-zero": (lambda: field_from_q(4).inv(0), ZeroDivisionError),
+    "zero-to-a-negative-power": (lambda: field_from_q(4).pow(0, -1), ZeroDivisionError),
+    "q-not-a-prime-power": (lambda: field_from_q(6), ParamError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()

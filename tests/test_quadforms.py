@@ -242,3 +242,17 @@ def test_from_full_matrix_folds():
     M = [[1, 2], [1, 1]]
     f = from_full_matrix(F3, M)
     assert f.coeffs == (1, 0, 1)  # x1^2 + (2+1) x1 x2 + x2^2
+
+
+# Each QuadraticForm check with the error class it raises.
+BAD_FORMS = {
+    "no-variables": ((0, ()), ParamError),
+    "wrong-coefficient-count": ((2, (1, 0)), ParamError),
+    "coefficient-out-of-range": ((1, (2,)), ParamError),
+}
+
+
+@pytest.mark.parametrize("args, error", BAD_FORMS.values(), ids=BAD_FORMS.keys())
+def test_bad_forms_raise(args, error):
+    with pytest.raises(error):
+        QuadraticForm(*args, F2)

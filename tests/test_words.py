@@ -306,3 +306,23 @@ def test_code_file_errors():
 def test_load_code_rejects_a_nonpositive_n(n):
     with pytest.raises(ParamError, match=f"n={n}"):
         load_code(f"repr=matrix q=2 m=2 n={n} k=0\n")
+
+
+# Each argument check with the error class it raises.
+BAD_ARGUMENTS = {
+    "empty-matrix-word": (lambda: MatrixWord((), F2), ParamError),
+    "flat-word-of-wrong-length": (lambda: MatrixWord.from_flat((0, 1, 0), F2, 2, 2), ParamError),
+    "empty-vector-word": (lambda: VectorWord((), ext_field(2, 2)), ParamError),
+    "mixed-representations": (
+        lambda: rank_distance(MatrixWord.zero(F2, 2, 2), VectorWord((0, 0), ext_field(2, 2))),
+        ParamError,
+    ),
+    "bad-header": (lambda: load_code("repr=matrix q=2 m=two n=2 k=1\n1 0 0 1\n"), FormatError),
+    "non-integer-entry": (lambda: load_code("repr=matrix q=2 m=2 n=2 k=1\n1 x 0 1\n"), FormatError),
+}
+
+
+@pytest.mark.parametrize("call, error", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()
