@@ -23,21 +23,6 @@ _MAX_ORDER = 1 << 20
 _ADD_TABLE_LIMIT = 512
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -204,9 +189,6 @@ class _PackedField:
             exp[i + o1] = x
             log[x] = i
             x = self._raw_mul(x, g)
-        self._exp = exp
-        self._log = log
-        self.generator = g
 
         def mul(a, b):
             if a == 0 or b == 0:
@@ -275,7 +257,7 @@ class Field(_PackedField):
     """GF(p^e) for prime p, elements encoded as ints in [0, p^e)."""
 
     def __init__(self, p, e=1):
-        if not is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ParamError(f"characteristic {p} is not prime")
         super().__init__(_PrimeOps(p), e)
         self.p = p

@@ -32,62 +32,25 @@ def combine(F, coeffs, rows, start=None):
     return out
 
 
-def rref(F, rows):
-    """Reduced row-echelon form.
-
-    Returns ``(reduced_rows, pivot_cols)``.  Input is not modified.
-    """
-    add, sub, mul, inv = F.add, F.sub, F.mul, F.inv
-    M = [list(r) for r in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = -1
-        for i in range(r, nrows):
-            if M[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        piv = inv(M[r][c])
-        if piv != 1:
-            M[r] = [mul(piv, v) for v in M[r]]
-        row_r = M[r]
-        for i in range(nrows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                row_i = M[i]
-                for j in range(c, ncols):
-                    if row_r[j]:
-                        row_i[j] = sub(row_i[j], mul(f, row_r[j]))
-        pivots.append(c)
-        r += 1
-    return M, pivots
-
-
-def rank(F, rows):
-    """Rank via forward elimination (no back-substitution)."""
+def _echelon(F, rows):
+    """The package's one elimination loop, a forward pass: ``(M, pivots)``
+    with M in row-echelon form, zero below each pivot.  Pivot entries are
+    not scaled.  Input is not modified."""
     sub, mul, inv = F.sub, F.mul, F.inv
     M = [list(r) for r in rows]
     nrows = len(M)
     ncols = len(M[0]) if nrows else 0
-    r = 0
+    pivots = []
     for c in range(ncols):
-        if r >= nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-        pr = -1
         for i in range(r, nrows):
             if M[i][c]:
-                pr = i
                 break
-        if pr < 0:
+        else:
             continue
-        M[r], M[pr] = M[pr], M[r]
+        M[r], M[i] = M[i], M[r]
         row_r = M[r]
         piv_inv = inv(row_r[c])
         for i in range(r + 1, nrows):
@@ -97,8 +60,38 @@ def rank(F, rows):
                 for j in range(c, ncols):
                     if row_r[j]:
                         row_i[j] = sub(row_i[j], mul(f, row_r[j]))
-        r += 1
-    return r
+        pivots.append(c)
+    return M, pivots
+
+
+def rref(F, rows):
+    """Reduced row-echelon form: the forward pass, then back-substitution
+    from the last pivot up, each pivot scaled to 1 and cleared above.
+
+    Returns ``(reduced_rows, pivot_cols)``.  Input is not modified.
+    """
+    sub, mul, inv = F.sub, F.mul, F.inv
+    M, pivots = _echelon(F, rows)
+    ncols = len(M[0]) if M else 0
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        piv = inv(M[r][c])
+        if piv != 1:
+            M[r] = [mul(piv, v) for v in M[r]]
+        row_r = M[r]
+        for i in range(r):
+            f = M[i][c]
+            if f:
+                row_i = M[i]
+                for j in range(c, ncols):
+                    if row_r[j]:
+                        row_i[j] = sub(row_i[j], mul(f, row_r[j]))
+    return M, pivots
+
+
+def rank(F, rows):
+    """Rank: the pivot count of the forward pass (no back-substitution)."""
+    return len(_echelon(F, rows)[1])
 
 
 def is_independent(F, rows):
@@ -125,14 +118,6 @@ def nullspace(F, rows):
             v[pc] = neg(R[i][fc])
         basis.append(v)
     return basis
-
-
-def spans_contain(F, big, small):
-    """True iff every row of ``small`` lies in the row span of ``big``."""
-    if not small:
-        return True
-    base = rank(F, big) if big else 0
-    return rank(F, list(big) + list(small)) == base
 
 
 def invert_matrix(F, rows):

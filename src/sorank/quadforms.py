@@ -97,18 +97,18 @@ def rank_of_form(f: QuadraticForm) -> int:
                 S[i][j] = a
                 S[j][i] = a
         return linalg.rank(F, S)
-    # Characteristic 2: alternating part B (zero diagonal), then the form
-    # restricted to the radical of B is additive in each basis vector; it
-    # contributes one more to the rank iff it is not identically zero.
+    # Characteristic 2: alternating part B (zero diagonal), whose rank is
+    # N minus the dimension of its radical; the form restricted to the
+    # radical is additive in each basis vector, and it contributes one more
+    # to the rank iff it is not identically zero.
     B = [[0] * N for _ in range(N)]
     for i, j, a in f._terms:
         if i != j:
             B[i][j] = a
             B[j][i] = a
-    rb = linalg.rank(F, B)
     radical = linalg.nullspace(F, B)
     extra = 1 if any(f.evaluate(w) for w in radical) else 0
-    return rb + extra
+    return N - len(radical) + extra
 
 
 def count_roots_brute(f: QuadraticForm) -> int:

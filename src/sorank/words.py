@@ -93,32 +93,30 @@ class VectorWord:
         return len(self.coords)
 
 
-def _base_rows(w):
-    """(GF(q), rows of an n x m matrix over GF(q) with the rank of w).  A
-    vector word's coordinates give their polynomial-basis digits: cheaper
-    than an expansion over the attached basis, and rank does not depend on
-    the basis."""
-    if isinstance(w, MatrixWord):
-        return w.field, w.entries
-    ext = w.field
-    return ext.base, [ext.to_digits(c) for c in w.coords]
-
-
 def word_rank(w):
-    return linalg.rank(*_base_rows(w))
+    """rank(w) over GF(q).  A vector word's coordinates give their
+    polynomial-basis digits: cheaper than an expansion over the attached
+    basis, and rank does not depend on the basis."""
+    if isinstance(w, MatrixWord):
+        return linalg.rank(w.field, w.entries)
+    ext = w.field
+    return linalg.rank(ext.base, [ext.to_digits(c) for c in w.coords])
 
 
 def rank_distance(X, Y):
-    """rank(X - Y) over GF(q); also accepts vector words."""
-    if isinstance(X, MatrixWord) != isinstance(Y, MatrixWord):
+    """rank(X - Y) over GF(q); also accepts vector words, subtracted over
+    GF(q^m) and their difference expanded once, as ``word_rank`` does."""
+    matrix = isinstance(X, MatrixWord)
+    if matrix != isinstance(Y, MatrixWord):
         raise ParamError("mixed representations")
-    F, xs = _base_rows(X)
-    G, ys = _base_rows(Y)
-    if F.order != G.order:
-        raise ParamError(f"words over {X.field!r} and {Y.field!r}")
-    if (len(xs), len(xs[0])) != (len(ys), len(ys[0])):
+    F = X.field
+    if (F.q, F.order) != (Y.field.q, Y.field.order):
+        raise ParamError(f"words over {F!r} and {Y.field!r}")
+    if X.n != Y.n or (matrix and X.m != Y.m):
         raise ParamError("dimension mismatch")
-    return linalg.rank(F, [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(xs, ys)])
+    if matrix:
+        return linalg.rank(F, [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(X.entries, Y.entries)])
+    return linalg.rank(F.base, [F.to_digits(F.sub(a, b)) for a, b in zip(X.coords, Y.coords)])
 
 
 def flat_space(repr, field, ext, n, m):
@@ -300,8 +298,10 @@ def is_self_orthogonal(code: LinearCode) -> bool:
 
 
 def is_contained_in_dual(code: LinearCode) -> bool:
-    """C subseteq dual(C), with the dual computed by the linear-algebra path."""
-    return linalg.spans_contain(code.lin_field(), dual(code).rows, code.rows)
+    """C subseteq dual(C), with the dual computed by the linear-algebra path:
+    C's rows stacked on the dual's independent rows add nothing to the rank."""
+    d = dual(code)
+    return linalg.rank(code.lin_field(), d.rows + code.rows) == d.k
 
 
 # -- code file format --------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import from_full_matrix, so_code_law, span_key, trace_inner_product, vector_inner_product
+from oracles import from_full_matrix, so_code_law, solve_in_span, span_key, trace_inner_product, vector_inner_product
 from sorank import construct, linalg, quadforms
 from sorank.construct import (
     max_so_dimension,
@@ -222,13 +222,13 @@ def _closed_form_law(F, D, codes):
     closed-form step counts N_j = q^(D - j - [1 not in S_j]) - q^j: there
     <v, v> = (sum_i v_i)^2, so the isotropic vectors are the hyperplane
     orthogonal to the all-ones word 1, and all of S_j^perp when 1 is in S_j."""
-    q, ones = F.order, [(1,) * D]
+    q, ones = F.order, (1,) * D
 
     def weight(code_words, k, basis):
         j = len(basis)
         if j == k:
             return Fraction(1)
-        N = q ** (D - j - (not linalg.spans_contain(F, basis, ones))) - q**j
+        N = q ** (D - j - (solve_in_span(F, basis, ones) is None)) - q**j
         return sum(weight(code_words, k, basis + [v]) for v in code_words if linalg.is_independent(F, basis + [v])) / N
 
     law = {}
@@ -251,7 +251,7 @@ def test_so_code_law_in_characteristic_two_is_the_closed_form():
     }
     assert len(codes) == 75 and set(law) == codes
     assert law == _closed_form_law(F2, D, codes)
-    with_ones = [key for key in codes if linalg.spans_contain(F2, key, [(1,) * D])]
+    with_ones = [key for key in codes if solve_in_span(F2, key, (1,) * D) is not None]
     assert len(with_ones) == 15
     assert sum(law[key] for key in with_ones) == Fraction(37, 217) < Fraction(15, 75)
 
@@ -274,7 +274,7 @@ def test_so_code_draws_follow_the_exact_law():
     assert stats.chisquare(observed, [float(draws * p) for p in law.values()]).pvalue > 0.001
     # Pooled by whether the code contains 1, the same draws fit the exact
     # mass 37/217 and reject the uniform law's 15/75.
-    hits = sum(counts[key] for key in law if linalg.spans_contain(F2, key, [(1,) * 6]))
+    hits = sum(counts[key] for key in law if solve_in_span(F2, key, (1,) * 6) is not None)
     for mass, fits in ((Fraction(37, 217), True), (Fraction(15, 75), False)):
         expected = [float(draws * mass), float(draws * (1 - mass))]
         assert (stats.chisquare([hits, draws - hits], expected).pvalue > 0.001) == fits

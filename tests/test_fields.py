@@ -25,10 +25,13 @@ def test_modulus_is_deterministic_and_standard():
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(ParamError):
-        Field(4)  # not prime
+    for p in (-3, 0, 1, 4, 9, 15, 221):  # not prime; 221 = 13 * 17
+        with pytest.raises(ParamError):
+            Field(p)
     with pytest.raises(ParamError):
         field_from_q(6)
+    F = Field(257)
+    assert F.order == 257 and F.mul(256, 256) == 1 and F.mul(3, F.inv(3)) == 1
 
 
 def test_trace_examples():

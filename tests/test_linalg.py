@@ -97,9 +97,32 @@ def test_invert_matrix(F):
         linalg.invert_matrix(F, [[0, 0], [0, 0]])
 
 
-def test_spans_contain():
-    F = field_from_q(2)
-    big = [[1, 0, 0], [0, 1, 0]]
-    assert linalg.spans_contain(F, big, [[1, 1, 0]])
-    assert not linalg.spans_contain(F, big, [[0, 0, 1]])
-    assert linalg.spans_contain(F, big, [])
+def _rref_cases(F, rng):
+    """Matrices of 0-7 rows and 1-9 columns: uniform, with zero rows, and
+    with rows that are combinations of the others."""
+    for nrows in range(8):
+        for ncols in range(1, 10):
+            M = _random_matrix(F, nrows, ncols, rng)
+            yield M
+            if nrows:
+                M = [row if rng.randrange(3) else [0] * ncols for row in M]
+                yield M
+            if nrows >= 2:
+                head = M[: rng.randrange(1, nrows)]
+                yield head + [linalg.combine(F, [rng.randrange(F.order) for _ in head], head) for _ in range(nrows - len(head))]
+
+
+@pytest.mark.parametrize("F", FIELDS + [field_from_q(q) for q in (5, 8, 9)], ids=lambda f: repr(f))
+def test_rref_is_reduced_and_keeps_the_row_space(F):
+    rng = random.Random(29)
+    for M in _rref_cases(F, rng):
+        R, pivots = linalg.rref(F, M)
+        r = len(pivots)
+        assert linalg.rank(F, M) == r
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for i, c in enumerate(pivots):
+            assert [row[c] for row in R] == [int(j == i) for j in range(len(R))]
+        assert all(not any(row) for row in R[r:])
+        assert len(R) == len(M)
+        if M:
+            assert linalg.rank(F, R) == r == linalg.rank(F, M + R)

@@ -51,3 +51,32 @@ def test_no_public_name_exists_only_for_tests():
                 referred.add(node.name)
     unreferenced = sorted(f"{name} ({where})" for name, where in defined.items() if name not in referred | UNREFERENCED_API)
     assert not unreferenced, f"public names nothing in sorank refers to: {unreferenced}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_private_name_is_left_unread():
+    # A module-level private function or class, or a private attribute a
+    # method stores on self, that nothing in the package reads is dead code:
+    # a table kept after the closures that use it captured it, or a leftover
+    # copy of a routine that another one replaced.
+    stored, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
+                stored.setdefault(node.name, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self" and _private(node.attr):
+                    stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = sorted(f"{name} ({where})" for name, where in stored.items() if name not in read)
+    assert not unread, f"private names nothing in sorank reads: {unread}"

@@ -74,6 +74,21 @@ def test_rank_examples():
     assert rank_of_form(QuadraticForm(2, (1, 0, 1), field_from_q(4))) == 1
 
 
+def test_rank_of_form_in_characteristic_two_eliminates_once(monkeypatch):
+    # The alternating part's rank is N minus the dimension of its radical,
+    # so the one elimination that finds the radical gives both.
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda F, rows: calls.append(rows) or echelon(F, rows))
+    rng = random.Random(17)
+    for field in (F2, field_from_q(4), field_from_q(8)):
+        for N in (2, 3, 5):
+            f = _random_form(field, N, rng)
+            calls.clear()
+            rank_of_form(f)
+            assert len(calls) == (0 if f.is_zero() else 1)
+
+
 def test_count_roots_brute_examples():
     assert count_roots_brute(QuadraticForm(3, (0,) * 6, F2)) == 8
     assert count_roots_brute(QuadraticForm(2, (1, 0, 1), F3)) == 1

@@ -32,14 +32,9 @@ def _random_mw(field, n, m, rng):
 
 
 def _same_code(a, b):
-    """Equal codes: same representation and dimension, each span inside the other."""
-    F = a.lin_field()
-    return (
-        a.repr == b.repr
-        and a.k == b.k
-        and linalg.spans_contain(F, a.rows, b.rows)
-        and linalg.spans_contain(F, b.rows, a.rows)
-    )
+    """Equal codes: same representation and dimension, and stacking one
+    basis on the other adds nothing to the rank."""
+    return a.repr == b.repr and a.k == b.k and linalg.rank(a.lin_field(), a.rows + b.rows) == a.k
 
 
 def test_rank_distance_examples():
@@ -73,6 +68,23 @@ def test_rank_distance_metric_axioms():
         assert rank_distance(X, Y) == rank_distance(Y, X)
         assert (rank_distance(X, Y) == 0) == (X == Y)
         assert rank_distance(X, Z) <= rank_distance(X, Y) + rank_distance(Y, Z)
+
+
+def test_vector_rank_distance_is_the_distance_of_the_matrix_pictures():
+    # The difference is taken over GF(q^m) and expanded once; rank does not
+    # depend on the basis the pictures are read over.
+    rng = random.Random(31)
+    e8_nonpoly = ExtField(F2, 3, basis=(1, 2, 6))
+    for ext in (ext_field(2, 3), e8_nonpoly, ext_field(3, 2), ext_field(4, 2), ext_field(2, 4)):
+        for n in (1, 2, 3, 5):
+            for _ in range(20):
+                x, y = (VectorWord([rng.randrange(ext.order) for _ in range(n)], ext) for _ in range(2))
+                d = rank_distance(x, y)
+                assert d == rank_distance(vec_to_mat(x), vec_to_mat(y))
+                assert d == word_rank(VectorWord([ext.sub(a, b) for a, b in zip(x.coords, y.coords)], ext))
+                assert rank_distance(x, x) == 0
+        if ext is e8_nonpoly:
+            assert rank_distance(x, VectorWord(y.coords, ext_field(2, 3))) == d
 
 
 def test_words_over_another_field_are_rejected():
@@ -235,6 +247,25 @@ def test_code_rows_are_checked():
     for args in bad:
         with pytest.raises(ParamError):
             LinearCode(*args)
+
+
+def test_dual_containment_eliminates_once_after_the_dual(monkeypatch):
+    # One elimination for the kernel, one for the dual's independence check,
+    # and one rank of the dual's rows stacked on the code's.
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda F, rows: calls.append(rows) or echelon(F, rows))
+    E4 = ext_field(2, 2)
+    for code, contained in (
+        (LinearCode([(1, 1, 0, 0), (0, 0, 1, 1)], F2, 2, 2), True),
+        (LinearCode([(1, 0, 0, 0)], F2, 2, 2), False),
+        (LinearCode([(1, 1)], F2, 2, 2, ext=E4), True),
+        (LinearCode([], F2, 2, 2, ext=E4), True),
+        (LinearCode([(1, 0)], F2, 2, 2, ext=E4), False),
+    ):
+        calls.clear()
+        assert is_contained_in_dual(code) == contained
+        assert len(calls) == 3
 
 
 def test_is_self_orthogonal_examples():
