@@ -4,10 +4,10 @@ All counts use exact integer arithmetic (they overflow 64 bits quickly);
 floats appear only in the log-domain upper bound.  Enumeration and uniform
 sampling both go through the factorization X = A * B of a rank-i matrix
 into a full-column-rank n x i factor and the RREF basis B of its row
-space, which is a bijection onto the rank-i stratum.  ``enumerate_ball``
-yields each word of a ball as its rows, a tuple of n row tuples over GF(q),
-looked up in per-B tables of center rows plus combinations of B's rows, so
-a ball word costs no field arithmetic.
+space, which is a bijection onto the rank-i stratum.  A ball is B_R(0, r):
+a linear code's list size at y counts its words e with He = Hy.
+``enumerate_ball`` yields each word as its n rows, looked up in one table
+per B of combinations of B's rows, so a word costs no field arithmetic.
 """
 
 from __future__ import annotations
@@ -94,20 +94,19 @@ def iter_full_colrank(field, n, i):
             yield cols
 
 
-def enumerate_ball(center: MatrixWord, radius):
-    """Yield the rows of every word at rank distance <= radius from the
-    center, once each.
+def enumerate_ball(field, n, m, radius):
+    """Yield the rows of every n x m matrix over ``field`` of rank <= radius,
+    once each.
 
-    Row o of center + A * B is center[o] + (row o of A) * B.  So for each
-    RREF matrix B the n tables of rows center[o] + v * B, one per
-    coefficient vector v in ``itertools.product`` order, are built once,
-    and a word is n lookups at the indices of A's rows, v read base q with
-    its first entry most significant."""
-    field, n, m = center.field, center.n, center.m
+    Row o of A * B is (row o of A) * B.  So for each RREF matrix B the table
+    of rows v * B, one per coefficient vector v in ``itertools.product``
+    order, is built once, and a word is n lookups at the indices of A's
+    rows, v read base q with its first entry most significant."""
     size = ball_size_exact(n, m, field.order, radius)
     if size > ENUM_LIMIT:
         raise SizeError(f"ball size {size} exceeds 2^22")
     q = field.order
+    zero = [0] * m
     for i in range(radius + 1):
         weights = [q ** (i - 1 - t) for t in range(i)]
         idxs = [
@@ -116,9 +115,9 @@ def enumerate_ball(center: MatrixWord, radius):
         ]
         coeffs = list(itertools.product(range(q), repeat=i))
         for rref_rows in iter_rref(field, i, m):
-            tab = [[tuple(linalg.combine(field, v, rref_rows, crow)) for v in coeffs] for crow in center.entries]
+            tab = [tuple(linalg.combine(field, v, rref_rows, zero)) for v in coeffs]
             for idx in idxs:
-                yield tuple(map(list.__getitem__, tab, idx))
+                yield tuple(map(tab.__getitem__, idx))
 
 
 def _weighted_index(weights, rng):
@@ -140,10 +139,10 @@ def _sample_rref(field, i, m, rng):
     return _rref_rows(pivots, free, [rng.randrange(q) for _ in free], m)
 
 
-def sample_from_ball(center: MatrixWord, radius, rng) -> MatrixWord:
-    """Uniform word from the ball: rank stratum by exact count, then
-    uniform column-space factor and uniform full-column-rank coefficients."""
-    field, n, m = center.field, center.n, center.m
+def sample_from_ball(field, n, m, radius, rng) -> MatrixWord:
+    """Uniform n x m matrix over ``field`` of rank <= radius: rank stratum by
+    exact count, then uniform column-space factor and uniform
+    full-column-rank coefficients."""
     if not 0 <= radius <= n:
         raise ParamError(f"radius {radius} out of range 0..{n}")
     q = field.order
@@ -153,6 +152,6 @@ def sample_from_ball(center: MatrixWord, radius, rng) -> MatrixWord:
         cols = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(i)]
         if linalg.rank(field, cols) == i:
             break
-    # Row o of center + A * B is center[o] + (row o of A) * B.
-    rows = (linalg.combine(field, [col[o] for col in cols], rref_rows, crow) for o, crow in enumerate(center.entries))
-    return MatrixWord(tuple(map(tuple, rows)), field)
+    zero = [0] * m
+    rows = (tuple(linalg.combine(field, [col[o] for col in cols], rref_rows, zero)) for o in range(n))
+    return MatrixWord(tuple(rows), field)

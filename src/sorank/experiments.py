@@ -90,7 +90,8 @@ def _count_low_rank(F, rows, start, n, m, r):
 def list_size_at(code: LinearCode, center, r: int) -> int:
     """|B_R(center, r) cap code|, by whichever enumeration is smaller: the
     code scan counts the GF(q) combinations c of ``gfq_rows`` with
-    rank(center + c) <= r (C = -C), the ball scan the ball words in C."""
+    rank(center + c) <= r (C = -C), the ball scan the words e of
+    B_R(0, r) with the center's syndrome, as center - e is then a codeword."""
     if not 0 <= r <= code.n:
         raise ParamError(f"radius {r} out of range")
     if isinstance(center, MatrixWord) != (code.repr == "matrix"):
@@ -102,7 +103,8 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
         start = [v for row in rows for v in row]
         return _count_low_rank(code.field, code.gfq_rows, start, code.n, code.m, r)
     if bsize is not None and bsize <= ENUM_LIMIT:
-        return sum(1 for X in enumerate_ball(MatrixWord(tuple(rows), code.field), r) if code.contains_rows(X))
+        s = code.syndrome(rows)
+        return sum(code.syndrome(e) == s for e in enumerate_ball(code.field, code.n, code.m, r))
     raise SizeError("both the code and the ball are too large to enumerate")
 
 
@@ -262,12 +264,11 @@ def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed) -> EventEst
         raise SizeError("span too large to enumerate (q^ell > 2^20)")
     field = field_from_q(q)
     r = int(math.floor(tau * n))
-    zero = MatrixWord.zero(field, n, m)
     threshold = C_ratio * ell
     hits = 0
     for t in range(trials):
         rng = trial_rng(seed, t)
-        draws = [sample_from_ball(zero, r, rng) for _ in range(ell)]
+        draws = [sample_from_ball(field, n, m, r, rng) for _ in range(ell)]
         if span_ball_overlap(draws, r) >= threshold:
             hits += 1
     lo, hi = wilson_interval(hits, trials)

@@ -67,10 +67,6 @@ class MatrixWord:
             raise ParamError(f"flat word of length {len(flat)} for a {n} x {m} matrix")
         return cls(tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n)), field)
 
-    @classmethod
-    def zero(cls, field, n, m):
-        return cls(tuple((0,) * m for _ in range(n)), field)
-
 
 @dataclass(frozen=True)
 class VectorWord:
@@ -137,8 +133,9 @@ class LinearCode:
     GF(q)-linear, each row a row-major n x m matrix; a vector code is
     GF(q^m)-linear over ``ext``, each row a length-n vector.  ``k == 0`` is
     the zero code.  Words are built on demand only: ``basis`` on first use.
-    ``contains_rows`` tests n x m rows over GF(q), ``contains`` a word; over
-    GF(2) both read a cached packed column of ``parity_check`` per entry."""
+    ``syndrome`` maps n x m rows over GF(q) to their syndrome against
+    ``parity_check``, zero exactly on the code, and ``contains`` tests a
+    word by it; over GF(2) it reads a cached packed column per entry."""
 
     rows: tuple
     field: Field = dc_field(repr=False)  # GF(q)
@@ -264,21 +261,22 @@ class LinearCode:
         as an int, bit t for check row t."""
         return tuple(sum(h[j] << t for t, h in enumerate(self.parity_check)) for j in range(self.n * self.m))
 
-    def contains_rows(self, rows):
-        """Membership by syndrome against ``parity_check``, of n x m rows
-        over GF(q) that the caller has checked (``matrix_rows`` does).  Over
-        GF(2) the syndrome is the XOR of the packed columns at the word's
-        nonzero entries; otherwise one dot product per check row."""
+    def syndrome(self, rows):
+        """The syndrome of checked n x m rows over GF(q) (``matrix_rows``
+        checks them): equal for two words iff their difference is in the
+        code.  Over GF(2) the XOR of the packed columns at the word's nonzero
+        entries, an int; otherwise the tuple of ``parity_check`` dot products."""
         if self.q == 2:
             entries = itertools.chain.from_iterable(rows)
-            return not reduce(xor, itertools.compress(self._syndrome_columns, entries), 0)
+            return reduce(xor, itertools.compress(self._syndrome_columns, entries), 0)
         x = [v for row in rows for v in row]
         F = self.field
-        return not any(linalg.dot(F, h, x) for h in self.parity_check)
+        return tuple(linalg.dot(F, h, x) for h in self.parity_check)
 
     def contains(self, word):
-        """Membership of a word in either representation."""
-        return self.contains_rows(self.matrix_rows(word))
+        """Membership of a word in either representation: a zero syndrome."""
+        s = self.syndrome(self.matrix_rows(word))
+        return not (s if self.q == 2 else any(s))
 
 
 def dual(code: LinearCode) -> LinearCode:

@@ -13,7 +13,7 @@ from sorank import linalg
 from sorank.balls import gaussian_binomial
 from sorank.errors import ParamError
 from sorank.quadforms import QuadraticForm
-from sorank.words import MatrixWord, VectorWord
+from sorank.words import MatrixWord, VectorWord, word_rank
 
 
 def gb_recurrence_holds(n, k, q):
@@ -56,6 +56,28 @@ def transform(f: QuadraticForm, M):
                 if Mj[t]:
                     row[t] = add(row[t], mul(am, Mj[t]))
     return from_full_matrix(F, G)
+
+
+def zero_word(field, n, m):
+    """The n x m zero matrix over ``field``."""
+    return MatrixWord(tuple((0,) * m for _ in range(n)), field)
+
+
+def translate(center: MatrixWord, rows):
+    """The rows of center + X, as a tuple of row tuples, for the rows of an
+    n x m matrix X: a word of the ball around zero (or a draw from it) moved
+    to the ball around ``center``."""
+    F = center.field
+    return tuple(tuple(map(F.add, crow, row)) for crow, row in zip(center.entries, rows))
+
+
+def rank_distribution(code):
+    """[A_0, ..., A_min(n, m)]: A_i codewords of rank i, by listing every
+    codeword (desk scale only)."""
+    counts = [0] * (min(code.n, code.m) + 1)
+    for w in code.iter_words():
+        counts[word_rank(w)] += 1
+    return counts
 
 
 def trace_inner_product(X: MatrixWord, Y: MatrixWord):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import check_gb_bounds, gb_recurrence_holds
+from oracles import check_gb_bounds, gb_recurrence_holds, translate
 from sorank import linalg
 from sorank.balls import (
     ball_size_exact,
@@ -89,13 +89,12 @@ def test_ball_upper_bound_dominates():
 
 
 def test_ball_size_and_radius_range():
-    c = MatrixWord.zero(F2, 2, 2)
-    assert sum(1 for _ in enumerate_ball(c, 1)) == ball_size_exact(2, 2, 2, 1) == 10
+    assert sum(1 for _ in enumerate_ball(F2, 2, 2, 1)) == ball_size_exact(2, 2, 2, 1) == 10
     for r in (-1, 3):
         with pytest.raises(ParamError):
-            next(enumerate_ball(c, r))
+            next(enumerate_ball(F2, 2, 2, r))
         with pytest.raises(ParamError):
-            sample_from_ball(c, r, random.Random(0))
+            sample_from_ball(F2, 2, 2, r, random.Random(0))
 
 
 def test_iter_factorizations_count():
@@ -109,14 +108,14 @@ def test_iter_factorizations_count():
 def test_enumerate_ball_matches_exact_count(q, n, m, r):
     F = field_from_q(q)
     center = MatrixWord(tuple(tuple((i + j) % q for j in range(m)) for i in range(n)), F)
-    members = list(enumerate_ball(center, r))
+    members = [translate(center, e) for e in enumerate_ball(F, n, m, r)]
     assert len(members) == len(set(members)) == ball_size_exact(n, m, q, r)
     assert all(rank_distance(center, MatrixWord(w, F)) <= r for w in members)
 
 
 def test_enumerate_ball_matches_full_scan():
     center = MatrixWord(((1, 0), (1, 1)), F2)
-    got = set(enumerate_ball(center, 1))
+    got = {translate(center, e) for e in enumerate_ball(F2, 2, 2, 1)}
     want = set()
     for flat in itertools.product(range(2), repeat=4):
         w = MatrixWord((tuple(flat[:2]), tuple(flat[2:])), F2)
@@ -129,26 +128,27 @@ def test_sample_from_ball_stays_inside():
     rng = random.Random(17)
     center = MatrixWord(((1, 2, 0), (0, 1, 1)), F3)
     for _ in range(500):
-        w = sample_from_ball(center, 1, rng)
+        w = MatrixWord(translate(center, sample_from_ball(F3, 2, 3, 1, rng).entries), F3)
         assert rank_distance(center, w) <= 1
 
 
 def test_sample_from_ball_uniformity():
     from scipy import stats
 
-    center = MatrixWord.zero(F2, 2, 2)
-    members = list(enumerate_ball(center, 1))
+    members = list(enumerate_ball(F2, 2, 2, 1))
     rng = random.Random(23)
     counts = {w: 0 for w in members}
     for _ in range(20_000):
-        counts[sample_from_ball(center, 1, rng).entries] += 1
+        counts[sample_from_ball(F2, 2, 2, 1, rng).entries] += 1
     assert stats.chisquare(list(counts.values())).pvalue > 0.001
 
 
 # (q, n, m, r) -> sha256 of the repr of three lists: iter_full_colrank(F, n, r)
-# as tuples of column tuples, the rows of every word enumerate_ball yields, and the entries of 300
-# sample_from_ball draws with random.Random(1000q + 100n + 10m + r).  The
-# center's entry (i, j) is (i + 2j) mod q.  Recorded while the full-rank
+# as tuples of column tuples, the rows of every word of the ball around a center in
+# enumeration order, and the entries of 300 draws from that ball with
+# random.Random(1000q + 100n + 10m + r).  The center's entry (i, j) is
+# (i + 2j) mod q, added to each word enumerate_ball and sample_from_ball give
+# around zero.  Recorded while the balls had a center argument, the full-rank
 # factors came from a recursive span search and the RREF shapes and weighted
 # draws were written out separately in each caller.
 BALL_STREAMS = {
@@ -222,8 +222,8 @@ def test_ball_streams_pinned(q, n, m, r):
     rng = random.Random(1000 * q + 100 * n + 10 * m + r)
     outputs = (
         [tuple(map(tuple, cols)) for cols in iter_full_colrank(F, n, r)],
-        list(enumerate_ball(center, r)),
-        [sample_from_ball(center, r, rng).entries for _ in range(300)],
+        [translate(center, e) for e in enumerate_ball(F, n, m, r)],
+        [translate(center, sample_from_ball(F, n, m, r, rng).entries) for _ in range(300)],
     )
     got = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in outputs)
     assert got == BALL_STREAMS[q, n, m, r]
@@ -235,7 +235,7 @@ BAD_ARGUMENTS = {
     "stratum-rank-negative": (lambda: rank_stratum_count(2, 3, 2, -1), ParamError),
     "bound-tau-zero": (lambda: ball_size_upper_bound(2, 3, 2, 0.0), ParamError),
     "bound-tau-one": (lambda: ball_size_upper_bound(2, 3, 2, 1.0), ParamError),
-    "enumerate-over-2^22": (lambda: next(enumerate_ball(MatrixWord.zero(F2, 4, 8), 4)), SizeError),
+    "enumerate-over-2^22": (lambda: next(enumerate_ball(F2, 4, 8, 4)), SizeError),
 }
 
 

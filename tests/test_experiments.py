@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from oracles import solve_in_span, vec_to_mat
+from oracles import rank_distribution, solve_in_span, translate, vec_to_mat, zero_word
 from sorank import experiments, linalg
-from sorank.balls import ball_size_exact, enumerate_ball
+from sorank.balls import ball_size_exact, enumerate_ball, gaussian_binomial, iter_rref
 from sorank.construct import max_so_dimension, so_code, uniform_linear_code
 from sorank.errors import ParamError, SizeError
 from sorank.experiments import (
@@ -63,7 +63,7 @@ def test_trial_streams_are_deterministic_and_distinct():
 def test_list_size_at_small_oracle():
     # full ambient space code: list size is the whole ball
     full = LinearCode([[1 if i == j else 0 for j in range(4)] for i in range(4)], F2, 2, 2)
-    center = MatrixWord.zero(F2, 2, 2)
+    center = zero_word(F2, 2, 2)
     assert list_size_at(full, center, 1) == 10
     assert list_size_at(full, center, 2) == 16
     zero = LinearCode([], F2, 2, 2)
@@ -151,9 +151,9 @@ def _check_routes_agree(case, monkeypatch, seeds=(31,)):
     *params, ball_radii = case
     spans = []
 
-    def spy(center, radius):
-        spans.append((center, radius))
-        return enumerate_ball(center, radius)
+    def spy(field, n, m, radius):
+        spans.append(radius)
+        return enumerate_ball(field, n, m, radius)
 
     monkeypatch.setattr(experiments, "enumerate_ball", spy)
     for seed in seeds:
@@ -171,13 +171,14 @@ def _check_routes_agree(case, monkeypatch, seeds=(31,)):
                 assert list_size_at(code, c, r) == by_code
                 assert (len(words) > ball_size_exact(code.n, code.m, code.q, r)) == (r in ball_radii)
                 assert bool(spans) == (r in ball_radii)
-                by_ball = sum(1 for w in enumerate_ball(ball_center, r) if code.contains(MatrixWord(w, code.field)))
+                ball = (translate(ball_center, e) for e in enumerate_ball(code.field, code.n, code.m, r))
+                by_ball = sum(1 for w in ball if code.contains(MatrixWord(w, code.field)))
                 assert by_ball == by_code
 
 
 def test_list_size_routes_build_no_word_per_scanned_word(monkeypatch):
-    """The ball scan (r = 1 here) builds one word, its center, and none per
-    ball word; the code scan (r = 2) builds none at all."""
+    """Neither the ball scan (r = 1 here), a syndrome match that needs no
+    word around the center, nor the code scan (r = 2) builds a word."""
     rng = random.Random(31)
     codes = [_random_code(*case[:-1], rng) for case in (MATRIX_CASES["GF3-2x3-k5"], VECTOR_CASES["GF8-n3-k2"])]
     centers = [_random_word(code, rng) for code in codes]
@@ -189,8 +190,7 @@ def test_list_size_routes_build_no_word_per_scanned_word(monkeypatch):
         ball_route = ball_size_exact(code.n, code.m, code.q, r) < code.lin_field().order ** code.k
         assert ball_route == (r == 1)
         list_size_at(code, center, r)
-        assert len(built) == ball_route
-        built.clear()
+        assert len(built) == 0
 
 
 # Vector codes longer than m: no ball size exists for n > m, so only the
@@ -237,6 +237,39 @@ def test_list_size_vector_repr(case, monkeypatch):
     _check_routes_agree(case, monkeypatch)
 
 
+def _macwilliams_holds(code):
+    """The rank-metric MacWilliams identity between the rank distributions A
+    of the code and B of its dual (Delsarte 1978; Ravagnani 2016, Thm 31):
+    for n <= m (transpose otherwise) and every nu = 0..n,
+
+        q^(m nu) sum_{i <= n - nu} A_i [n - i, nu]_q = |C| sum_{j <= nu} B_j [n - j, nu - j]_q.
+
+    A vector code's dual over GF(q^m) is, in the matrix picture over the dual
+    basis, the trace dual of its picture; rank does not depend on the basis."""
+    q, (n, m) = code.q, sorted((code.n, code.m))
+    A, B = rank_distribution(code), rank_distribution(dual(code))
+    return all(
+        q ** (m * nu) * sum(A[i] * gaussian_binomial(n - i, nu, q) for i in range(n - nu + 1))
+        == sum(A) * sum(B[j] * gaussian_binomial(n - j, nu - j, q) for j in range(nu + 1))
+        for nu in range(n + 1)
+    )
+
+
+def test_rank_macwilliams_identity():
+    # The criterion-6 grid (every GF(2)-linear code of 2 x 2 matrices with
+    # k <= 2), every GF(8)-linear code of length 3 over the non-polynomial
+    # basis, and one random code of each matrix and vector case shape.
+    rng = random.Random(53)
+    codes = [
+        *(LinearCode(rows, F2, 2, 2) for k in (0, 1, 2) for rows in iter_rref(F2, k, 4)),
+        *(LinearCode(rows, F2, 3, 3, E8_NONPOLY) for k in range(4) for rows in iter_rref(E8_NONPOLY, k, 3)),
+        *(_random_code(*case[:-1], rng) for case in (*MATRIX_CASES.values(), *VECTOR_CASES.values())),
+    ]
+    assert len(codes) == 51 + 148 + len(MATRIX_CASES) + len(VECTOR_CASES)
+    failed = [(code.n, code.m, code.q, code.rows) for code in codes if not _macwilliams_holds(code)]
+    assert not failed
+
+
 MEMBERSHIP_CASES = {**MATRIX_CASES, **VECTOR_CASES, **BALL_ROUTE_CASES, **GF2_GRID_CASES}
 
 
@@ -249,15 +282,25 @@ def test_contains_matches_solve_in_span(case):
     words = list(code.iter_words())
     inside = [rng.choice(words) for _ in range(20)]
     outside = [_random_word(code, rng) for _ in range(40)]
+
+    def flat(w):
+        return list(w.flatten()) if code.repr == "matrix" else list(w.coords)
+
     for w in inside + outside:
-        target = list(w.flatten()) if code.repr == "matrix" else list(w.coords)
-        expected = solve_in_span(L, code.rows, target) is not None
+        expected = solve_in_span(L, code.rows, flat(w)) is not None
         assert code.contains(w) == expected
         if code.repr == "vector":
             assert code.contains(vec_to_mat(w)) == expected
     assert all(code.contains(w) for w in inside)
+    # Two words share a syndrome exactly when their difference is a codeword:
+    # pairs of random words, and random words each with itself plus a codeword.
+    shifted = [code.word([L.add(a, b) for a, b in zip(flat(x), flat(c))]) for x, c in zip(outside, inside)]
+    for x, y in [*zip(outside, outside[1:]), *zip(outside, shifted)]:
+        diff = [L.sub(a, b) for a, b in zip(flat(x), flat(y))]
+        same = code.syndrome(code.matrix_rows(x)) == code.syndrome(code.matrix_rows(y))
+        assert same == (solve_in_span(L, code.rows, diff) is not None)
     with pytest.raises(ParamError):
-        code.contains(MatrixWord.zero(code.field, code.n, code.m + 1))
+        code.contains(zero_word(code.field, code.n, code.m + 1))
 
 
 @pytest.mark.parametrize("case", MEMBERSHIP_CASES.values(), ids=MEMBERSHIP_CASES.keys())
@@ -442,7 +485,7 @@ def test_lemma47_estimate():
     from sorank.balls import sample_from_ball
 
     rng = trial_rng(7, 0)
-    draws = [sample_from_ball(MatrixWord.zero(F2, 2, 2), 1, rng) for _ in range(2)]
+    draws = [sample_from_ball(F2, 2, 2, 1, rng) for _ in range(2)]
     manual_hit = span_ball_overlap(draws, 1) >= 2
     one = lemma47_event_estimate(2, 2, 2, 0.5, 2, 1, 1, seed=7)
     assert one.successes == (1 if manual_hit else 0)
@@ -487,9 +530,9 @@ _BIG = LinearCode([[int(i == j) for j in range(32)] for i in range(23)], F2, 4, 
 # Each argument check with the error class it raises.
 BAD_ARGUMENTS = {
     "gv-rho-above-one": (lambda: gv_rate(0.5, 1.5, 0.1), ParamError),
-    "list-radius-negative": (lambda: list_size_at(_BIG, MatrixWord.zero(F2, 4, 8), -1), ParamError),
-    "list-radius-above-n": (lambda: list_size_at(_BIG, MatrixWord.zero(F2, 4, 8), 5), ParamError),
-    "list-code-and-ball-too-large": (lambda: list_size_at(_BIG, MatrixWord.zero(F2, 4, 8), 4), SizeError),
+    "list-radius-negative": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), -1), ParamError),
+    "list-radius-above-n": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), 5), ParamError),
+    "list-code-and-ball-too-large": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), 4), SizeError),
     "config-unknown-repr": (lambda: ExperimentConfig(**_CONFIG, repr="tensor"), ParamError),
     "lemma47-span-over-2^20": (lambda: lemma47_event_estimate(2, 2, 4, 0.5, 21, 1.0, 1, 0), SizeError),
     "lemma48-dependent-set": (lambda: lemma48_event_estimate(2, 2, 4, 3, [_X, _X], 1, 0), ParamError),

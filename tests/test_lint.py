@@ -38,18 +38,26 @@ def test_no_public_name_exists_only_for_tests():
     # the package refers to is called from outside only; reference
     # implementations that tests compare against belong in tests/oracles.py.
     # A re-export in __init__.py is no reference: it only passes a name on.
-    defined, referred = {}, set()
+    # A method is referred to only by an attribute (``x.zero``): a local
+    # variable of the same name does not call it.
+    defined, names, attrs = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                defined.setdefault((node.name, id(node) in methods), f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name):
-                referred.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referred.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias) and path.name != "__init__.py":
-                referred.add(node.name)
-    unreferenced = sorted(f"{name} ({where})" for name, where in defined.items() if name not in referred | UNREFERENCED_API)
+                names.add(node.name)
+    unreferenced = sorted(
+        f"{name} ({where})"
+        for (name, method), where in defined.items()
+        if name not in attrs | UNREFERENCED_API and (method or name not in names)
+    )
     assert not unreferenced, f"public names nothing in sorank refers to: {unreferenced}"
 
 
