@@ -1,13 +1,15 @@
 """Rank-metric balls: exact sizes, Gaussian binomials, enumeration, sampling.
 
-All counts use exact integer arithmetic (they overflow 64 bits quickly);
-floats appear only in the log-domain upper bound.  Enumeration and uniform
-sampling both go through the factorization X = A * B of a rank-i matrix
-into a full-column-rank n x i factor and the RREF basis B of its row
-space, which is a bijection onto the rank-i stratum.  A ball is B_R(0, r):
-a linear code's list size at y counts its words e with He = Hy.
-``enumerate_ball`` yields each word as its n rows, looked up in one table
-per B of combinations of B's rows, so a word costs no field arithmetic.
+A ball is B_R(0, r) in the n x m matrices over GF(q), of any shape, and
+its words are tuples of n row tuples: a linear code's list size at y
+counts its words e with He = Hy.  All counts use exact integer arithmetic
+(they overflow 64 bits quickly); floats appear only in the log-domain upper
+bound.  Enumeration and uniform sampling both go through the factorization
+X = A * B of a rank-i matrix into a full-column-rank n x i factor and the
+RREF basis B of its row space, which is a bijection onto the rank-i
+stratum; strata above min(n, m) are empty.  ``enumerate_ball`` looks each
+word's rows up in one table per B of combinations of B's rows, so a word
+costs no field arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 
 from . import linalg
 from .errors import ParamError, SizeError
-from .words import MatrixWord
 
 ENUM_LIMIT = 1 << 22
 
@@ -35,8 +36,8 @@ def gaussian_binomial(n, k, q):
 
 
 def rank_stratum_count(n, m, q, i):
-    """Number of n x m matrices over GF(q) of rank exactly i."""
-    if not 0 <= i <= min(n, m):
+    """Number of n x m matrices over GF(q) of rank exactly i: zero for i > m."""
+    if not 0 <= i <= n:
         raise ParamError(f"rank {i} out of range")
     c = gaussian_binomial(n, i, q)
     for j in range(i):
@@ -46,8 +47,8 @@ def rank_stratum_count(n, m, q, i):
 
 def ball_size_exact(n, m, q, r):
     """Number of n x m matrices of rank <= r."""
-    if not 0 <= r <= n <= m:
-        raise ParamError(f"need 0 <= r <= n <= m, got r={r}, n={n}, m={m}")
+    if not 0 <= r <= n:
+        raise ParamError(f"radius {r} out of range 0..{n}")
     return sum(rank_stratum_count(n, m, q, i) for i in range(r + 1))
 
 
@@ -107,7 +108,7 @@ def enumerate_ball(field, n, m, radius):
         raise SizeError(f"ball size {size} exceeds 2^22")
     q = field.order
     zero = [0] * m
-    for i in range(radius + 1):
+    for i in range(min(radius, m) + 1):
         weights = [q ** (i - 1 - t) for t in range(i)]
         idxs = [
             tuple(sum(w * col[o] for w, col in zip(weights, cols)) for o in range(n))
@@ -139,10 +140,10 @@ def _sample_rref(field, i, m, rng):
     return _rref_rows(pivots, free, [rng.randrange(q) for _ in free], m)
 
 
-def sample_from_ball(field, n, m, radius, rng) -> MatrixWord:
-    """Uniform n x m matrix over ``field`` of rank <= radius: rank stratum by
-    exact count, then uniform column-space factor and uniform
-    full-column-rank coefficients."""
+def sample_from_ball(field, n, m, radius, rng):
+    """The rows of a uniform n x m matrix over ``field`` of rank <= radius:
+    rank stratum by exact count, then uniform column-space factor and
+    uniform full-column-rank coefficients."""
     if not 0 <= radius <= n:
         raise ParamError(f"radius {radius} out of range 0..{n}")
     q = field.order
@@ -153,5 +154,4 @@ def sample_from_ball(field, n, m, radius, rng) -> MatrixWord:
         if linalg.rank(field, cols) == i:
             break
     zero = [0] * m
-    rows = (tuple(linalg.combine(field, [col[o] for col in cols], rref_rows, zero)) for o in range(n))
-    return MatrixWord(tuple(rows), field)
+    return tuple(tuple(linalg.combine(field, [col[o] for col in cols], rref_rows, zero)) for o in range(n))

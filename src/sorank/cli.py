@@ -114,7 +114,7 @@ def _cmd_ball(args, out):
         out.write(f"{args.tau},{r},{logq_exact:.9f},{logq_bound:.9f}\n")
         return 0
     if args.r is None:
-        raise ParamError("--exact requires --r")
+        raise ParamError("ball needs --r, or --bound with --tau")
     out.write(str(balls.ball_size_exact(args.n, args.m, args.q, args.r)) + "\n")
     return 0
 

@@ -92,20 +92,18 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     code scan counts the GF(q) combinations c of ``gfq_rows`` with
     rank(center + c) <= r (C = -C), the ball scan the words e of
     B_R(0, r) with the center's syndrome, as center - e is then a codeword."""
-    if not 0 <= r <= code.n:
-        raise ParamError(f"radius {r} out of range")
     if isinstance(center, MatrixWord) != (code.repr == "matrix"):
         raise ParamError("mixed representations")
     rows = code.matrix_rows(center)  # also rejects a center over another field
     code_size = code.lin_field().order ** code.k
-    bsize = ball_size_exact(code.n, code.m, code.q, r) if code.n <= code.m else None
-    if code_size <= ENUM_LIMIT and (bsize is None or code_size <= bsize):
+    bsize = ball_size_exact(code.n, code.m, code.q, r)  # also rejects r outside 0..n
+    if min(code_size, bsize) > ENUM_LIMIT:
+        raise SizeError("both the code and the ball are too large to enumerate")
+    if code_size <= bsize:
         start = [v for row in rows for v in row]
         return _count_low_rank(code.field, code.gfq_rows, start, code.n, code.m, r)
-    if bsize is not None and bsize <= ENUM_LIMIT:
-        s = code.syndrome(rows)
-        return sum(code.syndrome(e) == s for e in enumerate_ball(code.field, code.n, code.m, r))
-    raise SizeError("both the code and the ball are too large to enumerate")
+    s = code.syndrome(rows)
+    return sum(code.syndrome(e) == s for e in enumerate_ball(code.field, code.n, code.m, r))
 
 
 # -- experiment configuration and report ------------------------------------
@@ -245,12 +243,13 @@ class EventEstimate:
         return self.successes / self.trials
 
 
-def span_ball_overlap(words, radius):
-    """|span{X_1..X_l} cap B_R(0, radius)|: the coefficient tuples whose
+def span_ball_overlap(field, words, radius):
+    """|span{X_1..X_l} cap B_R(0, radius)| for n x m matrices X_i over
+    ``field``, each given as its rows: the coefficient tuples whose
     combination lies in the ball, over the q^(l - rank) tuples that give
     each span word."""
-    field, n, m = words[0].field, words[0].n, words[0].m
-    flats = [w.flatten() for w in words]
+    n, m = len(words[0]), len(words[0][0])
+    flats = [[v for row in w for v in row] for w in words]
     hits = _count_low_rank(field, flats, [0] * (n * m), n, m, radius)
     return hits // field.order ** (len(flats) - linalg.rank(field, flats))
 
@@ -269,7 +268,7 @@ def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed) -> EventEst
     for t in range(trials):
         rng = trial_rng(seed, t)
         draws = [sample_from_ball(field, n, m, r, rng) for _ in range(ell)]
-        if span_ball_overlap(draws, r) >= threshold:
+        if span_ball_overlap(field, draws, r) >= threshold:
             hits += 1
     lo, hi = wilson_interval(hits, trials)
     return EventEstimate(hits, trials, lo, hi, {"threshold": threshold, "radius": r})

@@ -27,9 +27,8 @@ class MatrixWord:
     """An n x m matrix over GF(q).
 
     The usual convention takes n <= m (transpose first otherwise), but the
-    type allows any shape: coordinate matrices of short vectors over a
-    large extension are naturally tall.  Counting routines that rely on
-    n <= m enforce it themselves.
+    type allows any shape: coordinate matrices of vectors longer than the
+    degree m of their extension are naturally tall.
     """
 
     entries: tuple

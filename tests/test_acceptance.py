@@ -201,7 +201,7 @@ def test_criterion_8_sampling_uniformity(report):
     members = list(enumerate_ball(F2, 2, 2, 1))
     counts = {w: 0 for w in members}
     for _ in range(100_000):
-        counts[sample_from_ball(F2, 2, 2, 1, rng).entries] += 1
+        counts[sample_from_ball(F2, 2, 2, 1, rng)] += 1
     p_ball = stats.chisquare(list(counts.values())).pvalue
 
     F5 = field_from_q(5)

@@ -55,6 +55,7 @@ def test_rank_stratum_examples():
     assert rank_stratum_count(2, 2, 2, 1) == 9
     assert rank_stratum_count(2, 2, 2, 2) == 6
     assert sum(rank_stratum_count(2, 2, 2, i) for i in range(3)) == 16
+    assert [rank_stratum_count(3, 2, 2, i) for i in range(4)] == [1, 21, 42, 0]
 
 
 def test_rank_stratum_matches_brute_force():
@@ -73,15 +74,15 @@ def test_ball_size_examples():
     assert ball_size_exact(2, 2, 2, 1) == 10
     assert ball_size_exact(2, 2, 2, 2) == 16
     assert ball_size_exact(2, 2, 2, 0) == 1
-    with pytest.raises(ParamError):
-        ball_size_exact(3, 2, 2, 1)  # needs n <= m
+    assert ball_size_exact(3, 2, 2, 1) == 22  # a tall shape: 1 + 7 * 3
+    assert [ball_size_exact(3, 1, 3, r) for r in range(4)] == [1, 27, 27, 27]
 
 
 def test_ball_upper_bound_dominates():
     import math
 
     for q in (2, 3):
-        for n, m in ((2, 2), (2, 3), (3, 3)):
+        for n, m in ((2, 2), (2, 3), (3, 3), (3, 2), (4, 2), (3, 1)):
             for tau in (0.3, 0.5, 0.7):
                 r = int(math.floor(tau * n))
                 exact = ball_size_exact(n, m, q, r)
@@ -128,7 +129,7 @@ def test_sample_from_ball_stays_inside():
     rng = random.Random(17)
     center = MatrixWord(((1, 2, 0), (0, 1, 1)), F3)
     for _ in range(500):
-        w = MatrixWord(translate(center, sample_from_ball(F3, 2, 3, 1, rng).entries), F3)
+        w = MatrixWord(translate(center, sample_from_ball(F3, 2, 3, 1, rng)), F3)
         assert rank_distance(center, w) <= 1
 
 
@@ -139,13 +140,44 @@ def test_sample_from_ball_uniformity():
     rng = random.Random(23)
     counts = {w: 0 for w in members}
     for _ in range(20_000):
-        counts[sample_from_ball(F2, 2, 2, 1, rng).entries] += 1
+        counts[sample_from_ball(F2, 2, 2, 1, rng)] += 1
     assert stats.chisquare(list(counts.values())).pvalue > 0.001
+
+
+@pytest.mark.parametrize("q,n,m", [(q, n, m) for q in (2, 3) for n, m in ((3, 2), (4, 2), (3, 1))])
+def test_tall_balls_match_full_scan(q, n, m):
+    # Strata above m are empty, and the ball at every radius up to n, also
+    # above m, is the set of matrices of rank <= r, each enumerated once.
+    F = field_from_q(q)
+    flats = itertools.product(range(q), repeat=n * m)
+    ranks = {rows: linalg.rank(F, rows) for rows in (tuple(f[i * m : (i + 1) * m] for i in range(n)) for f in flats)}
+    for i in range(n + 1):
+        assert rank_stratum_count(n, m, q, i) == sum(rk == i for rk in ranks.values())
+    for r in range(n + 1):
+        members = list(enumerate_ball(F, n, m, r))
+        assert len(members) == ball_size_exact(n, m, q, r) == sum(rk <= r for rk in ranks.values())
+        assert set(members) == {rows for rows, rk in ranks.items() if rk <= r}
+
+
+def test_sample_from_ball_tall_shapes():
+    from scipy import stats
+
+    # Uniform over the 22 words of the 3 x 2 ball of radius 1 over GF(2).
+    members = list(enumerate_ball(F2, 3, 2, 1))
+    rng = random.Random(29)
+    counts = {w: 0 for w in members}
+    for _ in range(4_400):
+        counts[sample_from_ball(F2, 3, 2, 1, rng)] += 1
+    assert len(counts) == 22 and stats.chisquare(list(counts.values())).pvalue > 0.001
+    # Radii up to n = 3, above m: at 3 the draw is from the whole space.
+    for r in (1, 2, 3):
+        for _ in range(100):
+            assert linalg.rank(F3, sample_from_ball(F3, 3, 2, r, rng)) <= r
 
 
 # (q, n, m, r) -> sha256 of the repr of three lists: iter_full_colrank(F, n, r)
 # as tuples of column tuples, the rows of every word of the ball around a center in
-# enumeration order, and the entries of 300 draws from that ball with
+# enumeration order, and the rows of 300 draws from that ball with
 # random.Random(1000q + 100n + 10m + r).  The center's entry (i, j) is
 # (i + 2j) mod q, added to each word enumerate_ball and sample_from_ball give
 # around zero.  Recorded while the balls had a center argument, the full-rank
@@ -223,7 +255,7 @@ def test_ball_streams_pinned(q, n, m, r):
     outputs = (
         [tuple(map(tuple, cols)) for cols in iter_full_colrank(F, n, r)],
         [translate(center, e) for e in enumerate_ball(F, n, m, r)],
-        [translate(center, sample_from_ball(F, n, m, r, rng).entries) for _ in range(300)],
+        [translate(center, sample_from_ball(F, n, m, r, rng)) for _ in range(300)],
     )
     got = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in outputs)
     assert got == BALL_STREAMS[q, n, m, r]

@@ -74,6 +74,15 @@ def test_ball_exact_and_bound():
     assert float(ex) <= float(bd)
 
 
+def test_ball_tall_shape_and_missing_radius():
+    out = run_cli("ball", "--q", "2", "--n", "3", "--m", "2", "--r", "1", "--exact")
+    assert out.returncode == 0 and out.stdout == "22\n"
+    for extra in ([], ["--exact"]):
+        out = run_cli("ball", "--q", "2", "--n", "3", "--m", "2", *extra)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr == "error: E_PARAM: ball needs --r, or --bound with --tau\n"
+
+
 def test_roots_command():
     out = run_cli("roots", "--q", "5", "--nvars", "2", "--coeffs", "1,0,1", "--sample", "--nonzero")
     assert out.returncode == 0

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import rank_distribution, solve_in_span, translate, vec_to_mat, zero_word
 from sorank import experiments, linalg
-from sorank.balls import ball_size_exact, enumerate_ball, gaussian_binomial, iter_rref
+from sorank.balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, gaussian_binomial, iter_rref
 from sorank.construct import max_so_dimension, so_code, uniform_linear_code
 from sorank.errors import ParamError, SizeError
 from sorank.experiments import (
@@ -27,7 +27,7 @@ from sorank.experiments import (
     wilson_interval,
 )
 from sorank.fields import ExtField, ext_field, field_from_q
-from sorank.words import LinearCode, MatrixWord, VectorWord, dual, rank_distance
+from sorank.words import LinearCode, MatrixWord, VectorWord, dual, is_self_orthogonal, rank_distance
 
 F2 = field_from_q(2)
 
@@ -105,11 +105,20 @@ BALL_ROUTE_CASES = {
     "GF2-3x8-k11": (2, 3, 8, 11, None, (0, 1)),
     "GF32-n5-k2": (2, 5, 5, 2, ext_field(2, 5), (0, 1)),
 }
+# Vector codes longer than m, whose matrix pictures are tall: their balls
+# are counted and enumerated as n x m rows like any other, and the last one
+# takes the ball scan at radius 1.
+TALL_VECTOR_CASES = {
+    "GF4-n5-k2": (2, 5, 2, 2, ext_field(2, 2), (0,)),
+    "GF9-n4-k1": (3, 4, 2, 1, ext_field(3, 2), (0,)),
+    "GF4-n5-k4": (2, 5, 2, 4, ext_field(2, 2), (0, 1)),
+}
 SPELL_OUT_LIMIT = 5000
 # Route-agreement cases with the seeds of the codes each is checked on.
 ROUTE_CASES = {
     **{name: (case, (31,)) for name, case in MATRIX_CASES.items()},
     **{name: (case, (31, 32)) for name, case in BALL_ROUTE_CASES.items()},
+    **{name: (case, (31,)) for name, case in TALL_VECTOR_CASES.items()},
 }
 # Every q = 2 shape (n, m, k) of the criterion-4 construction grid, matrix
 # and vector, for the packed GF(2) membership test.
@@ -193,18 +202,11 @@ def test_list_size_routes_build_no_word_per_scanned_word(monkeypatch):
         assert len(built) == 0
 
 
-# Vector codes longer than m: no ball size exists for n > m, so only the
-# code scan can run.
-TALL_VECTOR_CASES = {
-    "GF4-n5-k2": (2, 5, 2, 2, ext_field(2, 2)),
-    "GF9-n4-k1": (3, 4, 2, 1, ext_field(3, 2)),
-}
-
-
 @pytest.mark.parametrize("case", TALL_VECTOR_CASES.values(), ids=TALL_VECTOR_CASES.keys())
 def test_list_size_tall_vector_codes(case):
+    *params, _ = case
     rng = random.Random(43)
-    code = _random_code(*case, rng)
+    code = _random_code(*params, rng)
     words = list(code.iter_words())
     centers = [_random_word(code, rng) for _ in range(6)] + [rng.choice(words)]
     for c in centers:
@@ -255,19 +257,73 @@ def _macwilliams_holds(code):
     )
 
 
-def test_rank_macwilliams_identity():
-    # The criterion-6 grid (every GF(2)-linear code of 2 x 2 matrices with
-    # k <= 2), every GF(8)-linear code of length 3 over the non-polynomial
-    # basis, and one random code of each matrix and vector case shape.
+def _macwilliams_codes():
+    """The criterion-6 grid (every GF(2)-linear code of 2 x 2 matrices with
+    k <= 2), every GF(8)-linear code of length 3 over the non-polynomial
+    basis, and one random code of each matrix and vector case shape."""
     rng = random.Random(53)
-    codes = [
+    return [
         *(LinearCode(rows, F2, 2, 2) for k in (0, 1, 2) for rows in iter_rref(F2, k, 4)),
         *(LinearCode(rows, F2, 3, 3, E8_NONPOLY) for k in range(4) for rows in iter_rref(E8_NONPOLY, k, 3)),
         *(_random_code(*case[:-1], rng) for case in (*MATRIX_CASES.values(), *VECTOR_CASES.values())),
     ]
+
+
+def test_rank_macwilliams_identity():
+    codes = _macwilliams_codes()
     assert len(codes) == 51 + 148 + len(MATRIX_CASES) + len(VECTOR_CASES)
     failed = [(code.n, code.m, code.q, code.rows) for code in codes if not _macwilliams_holds(code)]
     assert not failed
+
+
+def _rank_distribution_codes():
+    """The MacWilliams codes, and for each tall vector case shape one random
+    code and one self-orthogonal code of dimension min(k, max_so_dimension(n))."""
+    rng = random.Random(59)
+    tall = [
+        code
+        for q, n, m, k, ext, _ in TALL_VECTOR_CASES.values()
+        for code in (
+            _random_code(q, n, m, k, ext, rng),
+            so_code(field_from_q(q), n, m, min(k, max_so_dimension(n)), rng, repr="vector", ext=ext),
+        )
+    ]
+    return _macwilliams_codes() + tall
+
+
+def test_self_orthogonal_rank_distribution_is_below_the_duals():
+    # C is inside its dual, so it has at most as many words of each rank.
+    codes = [code for code in _rank_distribution_codes() if is_self_orthogonal(code)]
+    assert len(codes) == 23 + len(TALL_VECTOR_CASES)  # the tall ones from so_code
+    for code in codes:
+        A, B = rank_distribution(code), rank_distribution(dual(code))
+        assert all(a <= b for a, b in zip(A, B)), (code.n, code.m, code.q, code.rows)
+
+
+@pytest.mark.parametrize("bsize", [0, ENUM_LIMIT], ids=["ball-scan", "code-scan"])
+def test_rank_distribution_sums_are_list_sizes_at_zero(bsize, monkeypatch):
+    """A_0 + ... + A_r is the list size at the zero word, at every radius
+    whose ball has at most SPELL_OUT_LIMIT words.  A ball size of 0 sends
+    list_size_at to the ball scan, one of ENUM_LIMIT to the code scan; each
+    ball is enumerated once and reused, as its words depend only on q."""
+    spans, balls = [], {}
+
+    def spy(field, n, m, radius):
+        spans.append(radius)
+        key = field.order, n, m, radius
+        if key not in balls:
+            balls[key] = list(enumerate_ball(field, n, m, radius))
+        return balls[key]
+
+    monkeypatch.setattr(experiments, "enumerate_ball", spy)
+    monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: bsize)
+    for code in _rank_distribution_codes():
+        A, zero = rank_distribution(code), code.word((0,) * code.width)
+        for r in range(code.n + 1):
+            if ball_size_exact(code.n, code.m, code.q, r) <= SPELL_OUT_LIMIT:
+                spans.clear()
+                assert list_size_at(code, zero, r) == sum(A[: r + 1]), (code.n, code.m, code.q, code.rows, r)
+                assert bool(spans) == (bsize == 0)
 
 
 MEMBERSHIP_CASES = {**MATRIX_CASES, **VECTOR_CASES, **BALL_ROUTE_CASES, **GF2_GRID_CASES}
@@ -338,6 +394,18 @@ def test_dual_and_its_check_run_one_elimination(monkeypatch):
         d = dual(code)
         assert all(d.contains(w) for w in code.basis)
         assert len(calls) == 1
+
+
+def test_list_size_tall_code_with_a_small_ball():
+    # The full GF(4)-linear code of length 12 has 2^24 words, too many to
+    # scan; its 12 x 2 ball of radius 1 has 1 + (2^12 - 1) * 3 words, all
+    # codewords.  At radius 2 the ball is the whole 2^24-word space too.
+    ext = ext_field(2, 2)
+    code = LinearCode([[int(i == j) for j in range(12)] for i in range(12)], F2, 12, 2, ext)
+    center = VectorWord((1, 2, 3) * 4, ext)
+    assert list_size_at(code, center, 1) == ball_size_exact(12, 2, 2, 1) == 12_286
+    with pytest.raises(SizeError):
+        list_size_at(code, center, 2)
 
 
 def test_vector_words_read_over_the_code_basis():
@@ -458,22 +526,22 @@ def test_wilson_interval():
 
 
 def test_span_ball_overlap_oracle():
-    X = MatrixWord(((1, 0), (0, 0)), F2)
-    Y = MatrixWord(((0, 0), (0, 1)), F2)
+    X = ((1, 0), (0, 0))
+    Y = ((0, 0), (0, 1))
     # span has 4 elements; X, Y, 0 have rank <= 1, X+Y has rank 2
-    assert span_ball_overlap([X, Y], 1) == 3
-    assert span_ball_overlap([X, Y], 2) == 4
-    assert span_ball_overlap([X], 1) == 2
+    assert span_ball_overlap(F2, [X, Y], 1) == 3
+    assert span_ball_overlap(F2, [X, Y], 2) == 4
+    assert span_ball_overlap(F2, [X], 1) == 2
     # dependent draws: each span word is hit q^(l - rank) times, counted once
-    assert span_ball_overlap([X, X], 1) == span_ball_overlap([X], 1) == 2
-    XY = MatrixWord(((1, 0), (0, 1)), F2)
+    assert span_ball_overlap(F2, [X, X], 1) == span_ball_overlap(F2, [X], 1) == 2
+    XY = ((1, 0), (0, 1))
     for r in (0, 1, 2):
-        assert span_ball_overlap([X, Y, XY], r) == span_ball_overlap([X, Y], r)
+        assert span_ball_overlap(F2, [X, Y, XY], r) == span_ball_overlap(F2, [X, Y], r)
     F3 = field_from_q(3)
-    Z = MatrixWord(((1, 2), (0, 1)), F3)
-    Z2 = MatrixWord(((2, 1), (0, 2)), F3)
-    assert span_ball_overlap([Z, Z2], 1) == span_ball_overlap([Z], 1) == 1
-    assert span_ball_overlap([Z, Z2], 2) == span_ball_overlap([Z], 2) == 3
+    Z = ((1, 2), (0, 1))
+    Z2 = ((2, 1), (0, 2))
+    assert span_ball_overlap(F3, [Z, Z2], 1) == span_ball_overlap(F3, [Z], 1) == 1
+    assert span_ball_overlap(F3, [Z, Z2], 2) == span_ball_overlap(F3, [Z], 2) == 3
 
 
 def test_lemma47_estimate():
@@ -486,7 +554,7 @@ def test_lemma47_estimate():
 
     rng = trial_rng(7, 0)
     draws = [sample_from_ball(F2, 2, 2, 1, rng) for _ in range(2)]
-    manual_hit = span_ball_overlap(draws, 1) >= 2
+    manual_hit = span_ball_overlap(F2, draws, 1) >= 2
     one = lemma47_event_estimate(2, 2, 2, 0.5, 2, 1, 1, seed=7)
     assert one.successes == (1 if manual_hit else 0)
 

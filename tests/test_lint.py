@@ -88,3 +88,27 @@ def test_no_private_name_is_left_unread():
                 read.add(node.name)
     unread = sorted(f"{name} ({where})" for name, where in stored.items() if name not in read)
     assert not unread, f"private names nothing in sorank reads: {unread}"
+
+
+# The package's modules, lowest layer first.
+LAYERS = ("errors", "linalg", "fields", "quadforms", "balls", "words", "construct", "experiments", "cli")
+
+
+def test_modules_import_only_lower_layers():
+    # Each module may import only modules before it in LAYERS: a ball is rows
+    # over a field, so balls needs no word type.  Imports within the package
+    # are relative, and a new module must take its place in LAYERS first.
+    assert {path.stem for path in SRC.glob("*.py")} == {"__init__", *LAYERS}
+    found = []
+    for layer, name in enumerate(LAYERS):
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                targets = [f"{mod} (absolute)" for mod in modules if mod.split(".")[0] == "sorank"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {t}" for t in targets if t not in LAYERS[:layer]]
+    assert not found, f"imports of a module at or above the importer's layer: {found}"
