@@ -47,7 +47,7 @@ def _build_parser():
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--m", type=int, required=True)
     b.add_argument("--r", type=int)
-    b.add_argument("--exact", action="store_true")
+    b.add_argument("--exact", action="store_true", help="ignored: the exact size is printed whenever --bound is absent")
     b.add_argument("--bound", action="store_true")
     b.add_argument("--tau", type=float)
     b.set_defaults(run=_cmd_ball)

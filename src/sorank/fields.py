@@ -198,8 +198,7 @@ class _PackedField:
         def inv(a):
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            la = log[a]
-            return exp[o1 - la] if la else 1
+            return exp[o1 - log[a]]
 
         def power(a, k):
             if a == 0:

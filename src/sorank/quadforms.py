@@ -2,17 +2,18 @@
 
 Coefficients are stored upper-triangular (the (i,j) and (j,i) monomials
 folded together) so a form has one canonical representation.  The rank
-computation splits by characteristic: in odd characteristic it is the rank
-of the symmetrized coefficient matrix; in characteristic 2 the symmetric
-matrix lies (x1^2 + x2^2 has symmetric-matrix rank 2 but form rank 1), so
-we use the alternating bilinear part plus a separate check of the form on
-its radical.
+is read off one matrix, A + A^T for the upper-triangular A: in odd
+characteristic it is that matrix's rank; in characteristic 2 the matrix
+has a zero diagonal and is the alternating part, which alone undercounts
+(x1^2 + x2^2 has alternating rank 0 but form rank 1), so the form is
+checked on the matrix's radical as well.
 
 Roots are listed lazily in ``itertools.product`` order.  A diagonal form in
 characteristic 2 is the square of a linear form, sum a_i x_i^2 =
 (sum sqrt(a_i) x_i)^2, so its roots are a hyperplane: they are enumerated
 directly, one coordinate solved from the others, without evaluating the
-form.  Every other form is evaluated at each point of the space.
+form.  Every other form is evaluated at each point of the space.  The zero
+point is the first root of every form, so ``nonzero`` skips the first root.
 """
 
 from __future__ import annotations
@@ -87,26 +88,19 @@ def rank_of_form(f: QuadraticForm) -> int:
         return 0
     F = f.field
     N = f.nvars
-    if F.char != 2:
-        # Symmetrize: S = A + A^T for the upper-triangular A.
-        S = [[0] * N for _ in range(N)]
-        for i, j, a in f._terms:
-            if i == j:
-                S[i][i] = F.add(a, a)
-            else:
-                S[i][j] = a
-                S[j][i] = a
-        return linalg.rank(F, S)
-    # Characteristic 2: alternating part B (zero diagonal), whose rank is
-    # N minus the dimension of its radical; the form restricted to the
-    # radical is additive in each basis vector, and it contributes one more
-    # to the rank iff it is not identically zero.
-    B = [[0] * N for _ in range(N)]
+    # S = A + A^T for the upper-triangular A: a at (i, j) plus a at (j, i),
+    # so the diagonal gets 2a.
+    S = [[0] * N for _ in range(N)]
     for i, j, a in f._terms:
-        if i != j:
-            B[i][j] = a
-            B[j][i] = a
-    radical = linalg.nullspace(F, B)
+        S[i][j] = a
+        S[j][i] = F.add(S[j][i], a)
+    if F.char != 2:
+        return linalg.rank(F, S)
+    # Characteristic 2: S has a zero diagonal and is the alternating part,
+    # whose rank is N minus the dimension of its radical; the form
+    # restricted to the radical is additive in each basis vector, and it
+    # contributes one more to the rank iff it is not identically zero.
+    radical = linalg.nullspace(F, S)
     extra = 1 if any(f.evaluate(w) for w in radical) else 0
     return N - len(radical) + extra
 
@@ -143,15 +137,11 @@ def iter_roots(f: QuadraticForm, nonzero=False):
     F = f.field
     if F.char == 2 and all(i == j for i, j, _ in f._terms):
         roots = _diagonal_char2_roots(f)
-        if nonzero:
-            next(roots)  # the zero point, always first
-        yield from roots
-        return
-    for x in itertools.product(range(F.order), repeat=f.nvars):
-        if nonzero and not any(x):
-            continue
-        if f.evaluate(x) == 0:
-            yield x
+    else:
+        roots = (x for x in itertools.product(range(F.order), repeat=f.nvars) if f.evaluate(x) == 0)
+    if nonzero:
+        next(roots)  # the zero point, the first root of every form
+    yield from roots
 
 
 def _diagonal_char2_roots(f):

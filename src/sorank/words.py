@@ -35,19 +35,16 @@ class MatrixWord:
     field: Field = dc_field(repr=False)
 
     def __post_init__(self):
-        entries = self.entries
+        # Rows as tuples, so equal words hash alike; tuple() keeps a tuple row.
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", entries)
         if len(entries) == 0:
             raise ParamError("empty matrix word")
         m = len(entries[0])
         q = self.field.order
-        as_tuples = type(entries) is tuple
         for row in entries:
-            if type(row) is not tuple:
-                as_tuples = False
             if len(row) != m or (m and (min(row) < 0 or max(row) >= q)):
                 raise ParamError("malformed matrix word")
-        if not as_tuples:  # equal to and hashable like the word built from tuples
-            object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
 
     @property
     def n(self):
@@ -75,10 +72,9 @@ class VectorWord:
     field: ExtField = dc_field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) == 0:
             raise ParamError("empty vector word")
-        if type(self.coords) is not tuple:
-            object.__setattr__(self, "coords", tuple(self.coords))
         o = self.field.order
         if any(not 0 <= v < o for v in self.coords):
             raise ParamError("malformed vector word")
@@ -148,7 +144,7 @@ class LinearCode:
         if self.ext is not None and (self.ext.q, self.ext.m) != (self.q, self.m):
             raise ParamError(f"{self.ext!r} for a vector code over GF({self.q}) with m={self.m}")
         F, D = self.lin_field(), self.width
-        rows = tuple(row if type(row) is tuple else tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         for row in rows:
             if len(row) != D or any(not 0 <= v < F.order for v in row):
                 raise ParamError(f"basis row does not fit a {self.repr} code of width {D} over {F!r}")

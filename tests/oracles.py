@@ -150,6 +150,26 @@ def solve_in_span(F, basis_rows, target):
     return coeffs
 
 
+def rank_of_form_two_matrices(f: QuadraticForm):
+    """The rank of f split by characteristic: in odd characteristic the
+    rank of the symmetrized matrix (diagonal 2a); in characteristic 2 the
+    rank of the alternating part B, built without the diagonal, plus one
+    when f is nonzero on B's radical."""
+    F, N = f.field, f.nvars
+    if f.is_zero():
+        return 0
+    M = [[0] * N for _ in range(N)]
+    for (i, j), a in zip(itertools.combinations_with_replacement(range(N), 2), f.coeffs):
+        if i != j:
+            M[i][j] = M[j][i] = a
+        elif F.char != 2:
+            M[i][i] = F.add(a, a)
+    if F.char != 2:
+        return linalg.rank(F, M)
+    radical = linalg.nullspace(F, M)
+    return N - len(radical) + (1 if any(f.evaluate(w) for w in radical) else 0)
+
+
 def iter_roots_brute(f: QuadraticForm, nonzero=False):
     """The roots of f in ``itertools.product`` order, by evaluating f at
     every point of the space."""
@@ -190,4 +210,21 @@ def so_code_law(F, D, k):
             extend(basis + [v], weight / len(candidates))
 
     extend([], Fraction(1))
+    return law
+
+
+def code_star_law(F, D, k):
+    """The exact law of the span of ``sample_code_star``'s rows at desk
+    scale, as {span_key: Fraction}: a (k-1)-dimensional code S drawn with
+    the law ``so_code_law`` gives, then one word drawn uniformly among the
+    |F|^D - |S| words outside S."""
+    Q = F.order
+    law = {}
+    for key, p in so_code_law(F, D, k - 1).items():
+        step = p / (Q**D - Q ** (k - 1))
+        for x in itertools.product(range(Q), repeat=D):
+            rows = list(key) + [x]
+            if linalg.is_independent(F, rows):
+                code = span_key(F, rows)
+                law[code] = law.get(code, 0) + step
     return law

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import from_full_matrix, so_code_law, solve_in_span, span_key, trace_inner_product, vector_inner_product
+from oracles import (
+    code_star_law,
+    from_full_matrix,
+    so_code_law,
+    solve_in_span,
+    span_key,
+    trace_inner_product,
+    vector_inner_product,
+)
 from sorank import construct, linalg, quadforms
 from sorank.construct import (
     max_so_dimension,
@@ -22,12 +30,14 @@ from sorank.words import (
     VectorWord,
     dual,
     dump_code,
+    flat_space,
     is_contained_in_dual,
     is_self_orthogonal,
 )
 
 F2 = field_from_q(2)
 F3 = field_from_q(3)
+E4 = ext_field(2, 2)
 
 
 def test_max_so_dimension():
@@ -278,3 +288,50 @@ def test_so_code_draws_follow_the_exact_law():
     for mass, fits in ((Fraction(37, 217), True), (Fraction(15, 75), False)):
         expected = [float(draws * mass), float(draws * (1 - mass))]
         assert (stats.chisquare([hits, draws - hits], expected).pvalue > 0.001) == fits
+
+
+def _pooled_chisquare_pvalue(counts, law, draws):
+    """The chi-square p-value of the drawn codes' counts against their exact
+    law, with the cells whose expected count is below 5 pooled into one."""
+    from scipy import stats
+
+    assert set(counts) <= set(law)
+    observed, expected = [], []
+    pooled = [0, 0.0]
+    for key, p in law.items():
+        if draws * p < 5:
+            pooled[0] += counts[key]
+            pooled[1] += float(draws * p)
+        else:
+            observed.append(counts[key])
+            expected.append(float(draws * p))
+    if pooled[1]:
+        observed.append(pooled[0])
+        expected.append(pooled[1])
+    return stats.chisquare(observed, expected).pvalue
+
+
+@pytest.mark.parametrize(
+    "field, ext, n, draws",
+    [(F3, None, 2, 2000), (None, E4, 4, 3000)],
+    ids=["GF3-matrix-2x2", "GF4-vector-n4"],
+)
+def test_code_star_draws_follow_the_exact_law(field, ext, n, draws):
+    # k = 2: a self-orthogonal line, then one uniform word outside it, over
+    # GF(3)^4 (2 x 2 matrices) or GF(4)^4 (vectors of length 4).
+    repr = "matrix" if ext is None else "vector"
+    F, D = flat_space(repr, field, ext, n, 2)
+    law = code_star_law(F, D, 2)
+    rng = random.Random(2027)
+    counts = Counter(span_key(F, sample_code_star(field, n, 2, 2, rng, repr, ext).rows) for _ in range(draws))
+    assert _pooled_chisquare_pvalue(counts, law, draws) > 0.001
+
+
+def test_vector_so_code_draws_follow_the_exact_law():
+    # GF(4)-linear codes of length 5, k = 2: all 85 self-orthogonal codes alike.
+    law = so_code_law(E4, 5, 2)
+    assert len(law) == 85 and set(law.values()) == {Fraction(1, 85)}
+    rng = random.Random(2028)
+    draws = 1000
+    counts = Counter(span_key(E4, so_code(None, 5, 2, 2, rng, repr="vector", ext=E4).rows) for _ in range(draws))
+    assert _pooled_chisquare_pvalue(counts, law, draws) > 0.001

@@ -66,16 +66,24 @@ def _private(name):
 
 
 def test_no_private_name_is_left_unread():
-    # A module-level private function or class, or a private attribute a
-    # method stores on self, that nothing in the package reads is dead code:
-    # a table kept after the closures that use it captured it, or a leftover
+    # A module-level private function, class or constant (``_NAME = ...``),
+    # or a private attribute a method stores on self, that nothing in the
+    # package reads is dead code: a table kept after the closures that use it
+    # captured it, a limit that no routine checks any more, or a leftover
     # copy of a routine that another one replaced.
     stored, read = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
-                stored.setdefault(node.name, f"{path.name}:{node.lineno}")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in filter(_private, names):
+                stored.setdefault(name, f"{path.name}:{node.lineno}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 if isinstance(node.value, ast.Name) and node.value.id == "self" and _private(node.attr):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import from_full_matrix, iter_roots_brute, transform
+from oracles import from_full_matrix, iter_roots_brute, rank_of_form_two_matrices, transform
 from sorank import linalg
 from sorank.errors import ParamError, SizeError
 from sorank.fields import ext_field, field_from_q
@@ -74,14 +74,26 @@ def test_rank_examples():
     assert rank_of_form(QuadraticForm(2, (1, 0, 1), field_from_q(4))) == 1
 
 
+@pytest.mark.parametrize("q, max_nvars", [(2, 3), (3, 3), (4, 3), (5, 2), (8, 2), (9, 2)])
+def test_rank_of_form_matches_the_two_matrix_rank(q, max_nvars):
+    # Every form with at most max_nvars variables: the one matrix A + A^T
+    # agrees with the reference that builds one matrix per characteristic.
+    field = field_from_q(q)
+    for N in range(1, max_nvars + 1):
+        for coeffs in itertools.product(range(q), repeat=N * (N + 1) // 2):
+            f = QuadraticForm(N, coeffs, field)
+            assert rank_of_form(f) == rank_of_form_two_matrices(f), coeffs
+
+
 def test_rank_of_form_in_characteristic_two_eliminates_once(monkeypatch):
     # The alternating part's rank is N minus the dimension of its radical,
-    # so the one elimination that finds the radical gives both.
+    # so the one elimination that finds the radical gives both; in odd
+    # characteristic the rank of A + A^T is one elimination too.
     calls = []
     echelon = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda F, rows: calls.append(rows) or echelon(F, rows))
     rng = random.Random(17)
-    for field in (F2, field_from_q(4), field_from_q(8)):
+    for field in (F2, field_from_q(4), field_from_q(8), F3, F5, field_from_q(9)):
         for N in (2, 3, 5):
             f = _random_form(field, N, rng)
             calls.clear()
