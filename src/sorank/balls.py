@@ -1,15 +1,15 @@
 """Rank-metric balls: exact sizes, Gaussian binomials, enumeration, sampling.
 
-A ball is B_R(0, r) in the n x m matrices over GF(q), of any shape, and
-its words are tuples of n row tuples: a linear code's list size at y
-counts its words e with He = Hy.  All counts use exact integer arithmetic
-(they overflow 64 bits quickly); floats appear only in the log-domain upper
-bound.  Enumeration and uniform sampling both go through the factorization
-X = A * B of a rank-i matrix into a full-column-rank n x i factor and the
-RREF basis B of its row space, which is a bijection onto the rank-i
-stratum; strata above min(n, m) are empty.  ``enumerate_ball`` looks each
-word's rows up in one table per B of combinations of B's rows, so a word
-costs no field arithmetic.
+A ball is B_R(0, r) in the n x m matrices over GF(q), of any shape: a
+linear code's list size at y counts its words e with He = Hy.  All counts
+use exact integer arithmetic (they overflow 64 bits quickly); floats appear
+only in the log-domain upper bound.  Enumeration and uniform sampling both
+go through the factorization X = A * B of a rank-i matrix into a
+full-column-rank n x i factor A and the RREF basis B of its row space,
+which is a bijection onto the rank-i stratum; strata above min(n, m) are
+empty.  ``enumerate_ball`` yields factor blocks, each B with the list of
+every A of its rank, so a caller can work per block rather than per word;
+``sample_from_ball`` returns a word as a tuple of n row tuples.
 """
 
 from __future__ import annotations
@@ -96,29 +96,20 @@ def iter_full_colrank(field, n, i):
 
 
 def enumerate_ball(field, n, m, radius):
-    """Yield the rows of every n x m matrix over ``field`` of rank <= radius,
-    once each.
-
-    Row o of A * B is (row o of A) * B.  So for each RREF matrix B the table
-    of rows v * B, one per coefficient vector v in ``itertools.product``
-    order, is built once, and a word is n lookups at the indices of A's
-    rows, v read base q with its first entry most significant."""
+    """Yield the n x m matrices over ``field`` of rank <= radius as factor
+    blocks (B, factors): one per RREF matrix B of rank i <= min(radius, m),
+    in ``iter_rref`` order, with B's i rows and the list of every
+    full-column-rank n x i factor A (``iter_full_colrank``), one list shared
+    by all blocks of rank i.  The block's words are A * B for each A in
+    turn, row o being (row o of A) * B; flattening the blocks gives every
+    matrix of rank <= radius once."""
     size = ball_size_exact(n, m, field.order, radius)
     if size > ENUM_LIMIT:
         raise SizeError(f"ball size {size} exceeds 2^22")
-    q = field.order
-    zero = [0] * m
     for i in range(min(radius, m) + 1):
-        weights = [q ** (i - 1 - t) for t in range(i)]
-        idxs = [
-            tuple(sum(w * col[o] for w, col in zip(weights, cols)) for o in range(n))
-            for cols in iter_full_colrank(field, n, i)
-        ]
-        coeffs = list(itertools.product(range(q), repeat=i))
-        for rref_rows in iter_rref(field, i, m):
-            tab = [tuple(linalg.combine(field, v, rref_rows, zero)) for v in coeffs]
-            for idx in idxs:
-                yield tuple(map(tab.__getitem__, idx))
+        factors = list(iter_full_colrank(field, n, i))
+        for rows in iter_rref(field, i, m):
+            yield rows, factors
 
 
 def _weighted_index(weights, rng):

@@ -15,6 +15,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
+from operator import countOf, xor
 
 from . import linalg
 from .balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, sample_from_ball
@@ -103,7 +104,54 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
         start = [v for row in rows for v in row]
         return _count_low_rank(code.field, code.gfq_rows, start, code.n, code.m, r)
     s = code.syndrome(rows)
-    return sum(code.syndrome(e) == s for e in enumerate_ball(code.field, code.n, code.m, r))
+    blocks = enumerate_ball(code.field, code.n, code.m, r)
+    return (_count_gf2_matches if code.q == 2 else _count_matches)(code, blocks, s)
+
+
+def _count_matches(code, blocks, s):
+    """The words A * B of ``enumerate_ball`` blocks with syndrome s, counted
+    word by word.  Row o of A * B is (row o of A) * B: a lookup in the
+    block's table of the rows v * B, v in ``product`` order, at the index of
+    row o of A (read base q, its first entry most significant)."""
+    F, q, n, zero = code.field, code.q, code.n, [0] * code.m
+    count, factors_seen = 0, None
+    for B, factors in blocks:
+        if factors is not factors_seen:  # the row indices, once per rank
+            factors_seen, w = factors, [q**t for t in reversed(range(len(B)))]
+            idxs = [tuple(sum(wt * c[o] for wt, c in zip(w, A)) for o in range(n)) for A in factors]
+        tab = [tuple(linalg.combine(F, v, B, zero)) for v in itertools.product(range(q), repeat=len(B))]
+        count += sum(code.syndrome(map(tab.__getitem__, idx)) == s for idx in idxs)
+    return count
+
+
+def _count_gf2_matches(code, blocks, s):
+    """The same count over GF(2), building no word.  P[o][x] is the syndrome
+    of the row mask x (bit j for column j) alone in row o.  Row t of B gives
+    U_t[a], the XOR of P[o][B_t] over the set bits o of the column mask a,
+    and A * B has the syndrome XOR_t U_t[a_t]: one lookup per word at rank 1."""
+    n, m, cols = code.n, code.m, code._syndrome_columns
+    bit = [1 << j for j in range(max(n, m))]  # the mask of v is sum(compress(bit, v))
+    count, P, factors_seen = 0, None, None
+    for B, factors in blocks:
+        if B and P is None:  # not for the rank-0 block: r = 0 builds no 2^m table
+            P = [_subset_xors(cols[o * m : (o + 1) * m]) for o in range(n)]
+        if factors is not factors_seen:  # the column masks, once per rank
+            factors_seen, col_masks = factors, list(zip(*([sum(itertools.compress(bit, c)) for c in A] for A in factors)))
+        syndromes = itertools.repeat(0, len(factors))
+        for row, masks in zip(B, col_masks):
+            x = sum(itertools.compress(bit, row))
+            U = _subset_xors([table[x] for table in P])
+            syndromes = map(xor, syndromes, map(U.__getitem__, masks))
+        count += countOf(syndromes, s)
+    return count
+
+
+def _subset_xors(values):
+    """The XOR of each subset of ``values``, at the index of its bit mask."""
+    table = [0]
+    for v in values:
+        table += [x ^ v for x in table]
+    return table
 
 
 # -- experiment configuration and report ------------------------------------

@@ -264,9 +264,8 @@ class LinearCode:
         if self.q == 2:
             entries = itertools.chain.from_iterable(rows)
             return reduce(xor, itertools.compress(self._syndrome_columns, entries), 0)
-        x = [v for row in rows for v in row]
-        F = self.field
-        return tuple(linalg.dot(F, h, x) for h in self.parity_check)
+        x = list(itertools.chain.from_iterable(rows))
+        return tuple([linalg.dot(self.field, h, x) for h in self.parity_check])
 
     def contains(self, word):
         """Membership of a word in either representation: a zero syndrome."""

@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 from sorank import linalg
-from sorank.balls import gaussian_binomial
+from sorank.balls import enumerate_ball, gaussian_binomial
 from sorank.errors import ParamError
 from sorank.quadforms import QuadraticForm
 from sorank.words import MatrixWord, VectorWord, word_rank
@@ -69,6 +69,16 @@ def translate(center: MatrixWord, rows):
     to the ball around ``center``."""
     F = center.field
     return tuple(tuple(map(F.add, crow, row)) for crow, row in zip(center.entries, rows))
+
+
+def ball_words(field, n, m, r):
+    """The words of B_R(0, r) in enumeration order, each a tuple of n row
+    tuples: the blocks of ``enumerate_ball`` flattened, the word of factor A
+    in block B having as row o the combination of B's rows with row o of A."""
+    zero = [0] * m
+    for B, factors in enumerate_ball(field, n, m, r):
+        for A in factors:
+            yield tuple(tuple(linalg.combine(field, [col[o] for col in A], B, zero)) for o in range(n))
 
 
 def rank_distribution(code):

@@ -12,9 +12,9 @@ import time
 
 import pytest
 
-from oracles import check_gb_bounds, gb_recurrence_holds, iter_roots_brute, lemma1_pair_identity, translate
+from oracles import ball_words, check_gb_bounds, gb_recurrence_holds, iter_roots_brute, lemma1_pair_identity, translate
 from sorank import linalg
-from sorank.balls import ball_size_exact, enumerate_ball, iter_rref, sample_from_ball
+from sorank.balls import ball_size_exact, iter_rref, sample_from_ball
 from sorank.construct import max_so_dimension, so_code
 from sorank.experiments import ExperimentConfig, list_size_at, max_list_size_experiment
 from sorank.fields import ExtField, ext_field, field_from_q, find_self_dual_basis, self_dual_basis_exists
@@ -102,7 +102,7 @@ def test_criterion_3_ball_cross_oracle(report):
             for r in range(n + 1):
                 want = sum(by_rank[: r + 1])
                 ok &= ball_size_exact(n, m, q, r) == want
-                members = set(enumerate_ball(F, n, m, r))
+                members = set(ball_words(F, n, m, r))
                 ok &= len(members) == want
     elapsed = time.monotonic() - t0
     report(3, "ball counting cross-oracle", ok and elapsed < 30, f"{elapsed:.2f}s")
@@ -176,7 +176,7 @@ def test_criterion_6_list_size_oracle_equivalence(report):
         for center in centers:
             for r in range(3):
                 via_code = sum(1 for w in code.iter_words() if rank_distance(center, w) <= r)
-                via_ball = sum(1 for e in enumerate_ball(F, 2, 2, r) if code.contains(MatrixWord(translate(center, e), F)))
+                via_ball = sum(1 for e in ball_words(F, 2, 2, r) if code.contains(MatrixWord(translate(center, e), F)))
                 ok &= via_code == via_ball == list_size_at(code, center, r)
     elapsed = time.monotonic() - t0
     report(6, "list-size oracle equivalence", ok and elapsed < 60, f"{len(codes)} codes, {elapsed:.1f}s")
@@ -198,7 +198,7 @@ def test_criterion_8_sampling_uniformity(report):
 
     rng = random.Random(2024)
     F2 = field_from_q(2)
-    members = list(enumerate_ball(F2, 2, 2, 1))
+    members = list(ball_words(F2, 2, 2, 1))
     counts = {w: 0 for w in members}
     for _ in range(100_000):
         counts[sample_from_ball(F2, 2, 2, 1, rng)] += 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import check_gb_bounds, gb_recurrence_holds, translate
+from oracles import ball_words, check_gb_bounds, gb_recurrence_holds, translate
 from sorank import linalg
 from sorank.balls import (
     ball_size_exact,
@@ -90,7 +90,7 @@ def test_ball_upper_bound_dominates():
 
 
 def test_ball_size_and_radius_range():
-    assert sum(1 for _ in enumerate_ball(F2, 2, 2, 1)) == ball_size_exact(2, 2, 2, 1) == 10
+    assert sum(1 for _ in ball_words(F2, 2, 2, 1)) == ball_size_exact(2, 2, 2, 1) == 10
     for r in (-1, 3):
         with pytest.raises(ParamError):
             next(enumerate_ball(F2, 2, 2, r))
@@ -109,14 +109,31 @@ def test_iter_factorizations_count():
 def test_enumerate_ball_matches_exact_count(q, n, m, r):
     F = field_from_q(q)
     center = MatrixWord(tuple(tuple((i + j) % q for j in range(m)) for i in range(n)), F)
-    members = [translate(center, e) for e in enumerate_ball(F, n, m, r)]
+    members = [translate(center, e) for e in ball_words(F, n, m, r)]
     assert len(members) == len(set(members)) == ball_size_exact(n, m, q, r)
     assert all(rank_distance(center, MatrixWord(w, F)) <= r for w in members)
 
 
+@pytest.mark.parametrize("q,n,m,r", [(2, 3, 8, 1), (2, 5, 5, 1), (3, 2, 3, 2), (2, 4, 2, 2), (2, 2, 2, 0)])
+def test_enumerate_ball_yields_one_block_per_rref(q, n, m, r):
+    # One block per RREF matrix B of rank i <= min(r, m), in iter_rref order,
+    # with the factors of rank i: iter_full_colrank's list, one object shared
+    # by all blocks of that rank: [m, i]_q blocks, 256 and 32 at the two
+    # ball-route shapes.
+    F = field_from_q(q)
+    blocks = list(enumerate_ball(F, n, m, r))
+    ranks = range(min(r, m) + 1)
+    assert [B for B, _ in blocks] == [B for i in ranks for B in iter_rref(F, i, m)]
+    for i in ranks:
+        factors = [A for B, A in blocks if len(B) == i]
+        assert factors[0] == list(iter_full_colrank(F, n, i)) and all(A is factors[0] for A in factors)
+    assert sum(len(A) for _, A in blocks) == ball_size_exact(n, m, q, r)
+    assert len(blocks) == sum(gaussian_binomial(m, i, q) for i in ranks)
+
+
 def test_enumerate_ball_matches_full_scan():
     center = MatrixWord(((1, 0), (1, 1)), F2)
-    got = {translate(center, e) for e in enumerate_ball(F2, 2, 2, 1)}
+    got = {translate(center, e) for e in ball_words(F2, 2, 2, 1)}
     want = set()
     for flat in itertools.product(range(2), repeat=4):
         w = MatrixWord((tuple(flat[:2]), tuple(flat[2:])), F2)
@@ -136,7 +153,7 @@ def test_sample_from_ball_stays_inside():
 def test_sample_from_ball_uniformity():
     from scipy import stats
 
-    members = list(enumerate_ball(F2, 2, 2, 1))
+    members = list(ball_words(F2, 2, 2, 1))
     rng = random.Random(23)
     counts = {w: 0 for w in members}
     for _ in range(20_000):
@@ -154,7 +171,7 @@ def test_tall_balls_match_full_scan(q, n, m):
     for i in range(n + 1):
         assert rank_stratum_count(n, m, q, i) == sum(rk == i for rk in ranks.values())
     for r in range(n + 1):
-        members = list(enumerate_ball(F, n, m, r))
+        members = list(ball_words(F, n, m, r))
         assert len(members) == ball_size_exact(n, m, q, r) == sum(rk <= r for rk in ranks.values())
         assert set(members) == {rows for rows, rk in ranks.items() if rk <= r}
 
@@ -163,7 +180,7 @@ def test_sample_from_ball_tall_shapes():
     from scipy import stats
 
     # Uniform over the 22 words of the 3 x 2 ball of radius 1 over GF(2).
-    members = list(enumerate_ball(F2, 3, 2, 1))
+    members = list(ball_words(F2, 3, 2, 1))
     rng = random.Random(29)
     counts = {w: 0 for w in members}
     for _ in range(4_400):
@@ -179,8 +196,9 @@ def test_sample_from_ball_tall_shapes():
 # as tuples of column tuples, the rows of every word of the ball around a center in
 # enumeration order, and the rows of 300 draws from that ball with
 # random.Random(1000q + 100n + 10m + r).  The center's entry (i, j) is
-# (i + 2j) mod q, added to each word enumerate_ball and sample_from_ball give
-# around zero.  Recorded while the balls had a center argument, the full-rank
+# (i + 2j) mod q, added to each word around zero that ball_words (the blocks
+# of enumerate_ball, flattened) and sample_from_ball give.  Recorded while the
+# balls had a center argument and enumerate_ball yielded words, the full-rank
 # factors came from a recursive span search and the RREF shapes and weighted
 # draws were written out separately in each caller.
 BALL_STREAMS = {
@@ -254,7 +272,7 @@ def test_ball_streams_pinned(q, n, m, r):
     rng = random.Random(1000 * q + 100 * n + 10 * m + r)
     outputs = (
         [tuple(map(tuple, cols)) for cols in iter_full_colrank(F, n, r)],
-        [translate(center, e) for e in enumerate_ball(F, n, m, r)],
+        [translate(center, e) for e in ball_words(F, n, m, r)],
         [translate(center, sample_from_ball(F, n, m, r, rng)) for _ in range(300)],
     )
     got = tuple(hashlib.sha256(repr(out).encode()).hexdigest() for out in outputs)

@@ -2,10 +2,11 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from oracles import rank_distribution, solve_in_span, translate, vec_to_mat, zero_word
+from oracles import ball_words, rank_distribution, solve_in_span, translate, vec_to_mat, zero_word
 from sorank import experiments, linalg
 from sorank.balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, gaussian_binomial, iter_rref
 from sorank.construct import max_so_dimension, so_code, uniform_linear_code
@@ -156,13 +157,14 @@ def _check_routes_agree(case, monkeypatch, seeds=(31,)):
     list_size_at equals the code scan, and takes the ball scan exactly at
     ``ball_radii``; the ball scan spelled out (enumerate the ball, test
     membership) equals the code scan at the other radii too.  One code per
-    seed, four centers per code."""
+    seed, four centers per code.  The spy records a ball when its blocks are
+    first iterated, as a traced run counts a generator call."""
     *params, ball_radii = case
     spans = []
 
     def spy(field, n, m, radius):
         spans.append(radius)
-        return enumerate_ball(field, n, m, radius)
+        yield from enumerate_ball(field, n, m, radius)
 
     monkeypatch.setattr(experiments, "enumerate_ball", spy)
     for seed in seeds:
@@ -180,7 +182,7 @@ def _check_routes_agree(case, monkeypatch, seeds=(31,)):
                 assert list_size_at(code, c, r) == by_code
                 assert (len(words) > ball_size_exact(code.n, code.m, code.q, r)) == (r in ball_radii)
                 assert bool(spans) == (r in ball_radii)
-                ball = (translate(ball_center, e) for e in enumerate_ball(code.field, code.n, code.m, r))
+                ball = (translate(ball_center, e) for e in ball_words(code.field, code.n, code.m, r))
                 by_ball = sum(1 for w in ball if code.contains(MatrixWord(w, code.field)))
                 assert by_ball == by_code
 
@@ -305,7 +307,8 @@ def test_rank_distribution_sums_are_list_sizes_at_zero(bsize, monkeypatch):
     """A_0 + ... + A_r is the list size at the zero word, at every radius
     whose ball has at most SPELL_OUT_LIMIT words.  A ball size of 0 sends
     list_size_at to the ball scan, one of ENUM_LIMIT to the code scan; each
-    ball is enumerated once and reused, as its words depend only on q."""
+    ball's blocks are enumerated once and reused, as they depend only on q,
+    and recorded when first iterated, as a traced run counts a generator call."""
     spans, balls = [], {}
 
     def spy(field, n, m, radius):
@@ -313,7 +316,7 @@ def test_rank_distribution_sums_are_list_sizes_at_zero(bsize, monkeypatch):
         key = field.order, n, m, radius
         if key not in balls:
             balls[key] = list(enumerate_ball(field, n, m, radius))
-        return balls[key]
+        yield from balls[key]
 
     monkeypatch.setattr(experiments, "enumerate_ball", spy)
     monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: bsize)
@@ -324,6 +327,133 @@ def test_rank_distribution_sums_are_list_sizes_at_zero(bsize, monkeypatch):
                 spans.clear()
                 assert list_size_at(code, zero, r) == sum(A[: r + 1]), (code.n, code.m, code.q, code.rows, r)
                 assert bool(spans) == (bsize == 0)
+
+
+def _forced_ball_route_cases(q, side, limit, rng):
+    """Per shape n x m with n, m <= side, tall ones included, a uniform code
+    of each dimension k in {0, 1, D // 2, D - 1, D} (D = nm) with its zero,
+    codeword and random centers, and the radii whose ball has at most
+    ``limit`` words."""
+    F = field_from_q(q)
+    for n, m in itertools.product(range(1, side + 1), repeat=2):
+        radii = [r for r in range(n + 1) if ball_size_exact(n, m, q, r) <= limit]
+        D = n * m
+        for k in sorted({0, 1, D // 2, D - 1, D}):
+            code = uniform_linear_code(F, n, m, k, rng)
+            codeword = code.word(linalg.combine(F, [rng.randrange(q) for _ in range(k)], code.rows, [0] * D))
+            yield code, [zero_word(F, n, m), codeword, _random_word(code, rng)], radii
+
+
+def _check_forced_ball_route(q, side, limit, code_scan, monkeypatch):
+    """list_size_at on the ball route (a ball size of 0 sends it there)
+    equals the word-by-word syndrome match over the flattened blocks and
+    ``code_scan(code, center_rows)``, a list of the ranks of center - c over
+    the codewords c (None to skip it); returns the number of cases."""
+    monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: 0)
+    rng, words, cases = random.Random(43), {}, 0
+    for code, centers, radii in _forced_ball_route_cases(q, side, limit, rng):
+        rows = [code.matrix_rows(y) for y in centers]
+        dists = [code_scan(code, y_rows) for y_rows in rows]
+        for r in radii:
+            key = code.n, code.m, r
+            if key not in words:
+                words[key] = list(ball_words(code.field, *key))
+            syndromes = [code.syndrome(e) for e in words[key]]
+            for y, y_rows, d in zip(centers, rows, dists):
+                got = list_size_at(code, y, r)
+                assert got == syndromes.count(code.syndrome(y_rows)), (code.n, code.m, code.rows, y_rows, r)
+                assert d is None or got == sum(rk <= r for rk in d), (code.n, code.m, code.rows, y_rows, r)
+                cases += 1
+    return cases
+
+
+def _gf2_rank(rows):
+    """The rank of rows given as bit masks, by an XOR basis."""
+    basis = []
+    for v in rows:
+        for b in basis:
+            v = min(v, v ^ b)
+        basis += [v] if v else []
+    return len(basis)
+
+
+def test_gf2_ball_route_matches_word_match_and_code_scan(monkeypatch):
+    """The GF(2) ball route counts syndrome matches per factor block, with
+    no word built.  Every shape up to 4 x 4 at every radius with a ball of at
+    most 5,000 words: 729 cases.  The code scan reads the rank of each word,
+    a bit mask (bit i * m + j for entry (i, j)), off one table per shape."""
+    ranks = {}
+
+    def code_scan(code, rows):
+        n, m = code.n, code.m
+        if (n, m) not in ranks:
+            ranks[n, m] = [_gf2_rank([x >> (i * m) & ((1 << m) - 1) for i in range(n)]) for x in range(1 << n * m)]
+        mask = lambda bits: sum(b << j for j, b in enumerate(bits))
+        codewords = [0]
+        for g in map(mask, code.rows):
+            codewords += [c ^ g for c in codewords]
+        y = mask(itertools.chain.from_iterable(rows))
+        return [ranks[n, m][y ^ c] for c in codewords]
+
+    assert _check_forced_ball_route(2, 4, SPELL_OUT_LIMIT, code_scan, monkeypatch) == 729
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_odd_and_gf4_ball_route_matches_word_match_and_code_scan(q, monkeypatch):
+    """The q > 2 ball route matches the center's syndrome word by word, over
+    each block's table of rows.  Every shape up to 3 x 3 at every radius with
+    a ball of at most 2,000 words, which keeps blocks of rank 2 (2 x 3 at
+    r = 2 over GF(3), 2 x 2 over GF(4)); the code scan lists the codes of at
+    most 1,024 words."""
+    F = field_from_q(q)
+
+    def code_scan(code, rows):
+        if q**code.k > 1024:
+            return None
+        y = list(itertools.chain.from_iterable(rows))
+        codewords = (linalg.combine(F, c, code.rows, [0] * code.width) for c in itertools.product(range(q), repeat=code.k))
+        diffs = ([F.sub(a, b) for a, b in zip(y, c)] for c in codewords)
+        return [linalg.rank(F, [d[i * code.m : (i + 1) * code.m] for i in range(code.n)]) for d in diffs]
+
+    assert _check_forced_ball_route(q, 3, 2000, code_scan, monkeypatch) > 0
+
+
+def test_zero_radius_ball_route_builds_no_row_table():
+    """At r = 0 the ball is one block, the zero word, so the GF(2) ball route
+    of a wide code returns at once and builds no table over the 2^m row
+    masks.  m = 20 comes first: a table there would show in the traced peak
+    (8 MB for its list alone) while still fitting in memory."""
+    rng = random.Random(47)
+    for m in (20, 30):
+        code = uniform_linear_code(F2, 1, m, 3, rng)
+        for center in (_random_word(code, rng), code.basis[0]):
+            tracemalloc.start()
+            try:
+                got = list_size_at(code, center, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == code.contains(center) and peak < 1 << 20, (m, got, peak)
+
+
+def test_tall_gf2_code_takes_the_ball_route(monkeypatch):
+    """4 x 2 codes over GF(2), a matrix code with k = 6 and a GF(4)-linear
+    code of length 4 with k = 3, have 64 words against 46 in the radius-1
+    ball: list_size_at takes the ball route, and equals the code scan."""
+    spans = []
+
+    def spy(field, n, m, radius):
+        spans.append(radius)
+        yield from enumerate_ball(field, n, m, radius)
+
+    monkeypatch.setattr(experiments, "enumerate_ball", spy)
+    rng = random.Random(53)
+    for code in (_random_code(2, 4, 2, 6, None, rng), _random_code(2, 4, 2, 3, ext_field(2, 2), rng)):
+        words = list(code.iter_words())
+        for center in [_random_word(code, rng) for _ in range(4)] + [rng.choice(words)]:
+            spans.clear()
+            assert list_size_at(code, center, 1) == sum(rank_distance(center, w) <= 1 for w in words)
+            assert spans == [1]
 
 
 MEMBERSHIP_CASES = {**MATRIX_CASES, **VECTOR_CASES, **BALL_ROUTE_CASES, **GF2_GRID_CASES}
