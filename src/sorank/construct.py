@@ -94,7 +94,7 @@ def so_code(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
     """A k-dimensional self-orthogonal code (k = 0 gives the zero code)."""
     F, D = flat_space(repr, field, ext, n, m)
     rows = so_flat_vectors(F, D, k, rng) if k else []
-    return LinearCode(rows, field or ext.base, n, m, ext)
+    return LinearCode(rows, field, n, m, ext)
 
 
 def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
@@ -111,7 +111,7 @@ def sample_code_star(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode
         raise ParamError(f"k={k} exceeds half the ambient dimension {D}")
     rows = so_flat_vectors(F, D, k - 1, rng) if k >= 2 else []
     rows.append(_outside_span(F, D, k, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
-    return LinearCode(rows, field or ext.base, n, m, ext)
+    return LinearCode(rows, field, n, m, ext)
 
 
 def uniform_linear_code(field, n, m, k, rng, repr="matrix", ext=None) -> LinearCode:
@@ -123,4 +123,4 @@ def uniform_linear_code(field, n, m, k, rng, repr="matrix", ext=None) -> LinearC
     rows = []
     while len(rows) < k:
         rows.append(_outside_span(F, D, k, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
-    return LinearCode(rows, field or ext.base, n, m, ext)
+    return LinearCode(rows, field, n, m, ext)

@@ -110,17 +110,14 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
 
 def _count_matches(code, blocks, s):
     """The words A * B of ``enumerate_ball`` blocks with syndrome s, counted
-    word by word.  Row o of A * B is (row o of A) * B: a lookup in the
-    block's table of the rows v * B, v in ``product`` order, at the index of
-    row o of A (read base q, its first entry most significant)."""
-    F, q, n, zero = code.field, code.q, code.n, [0] * code.m
-    count, factors_seen = 0, None
+    word by word.  Row o of A * B is (row o of A) * B: the o-th tuple of
+    ``zip(*A)`` looked up in the block's table from each coefficient tuple v
+    to v * B.  The rank-0 block's one word has no rows here: its syndrome is zero."""
+    F, q, zero = code.field, code.q, [0] * code.m
+    count = 0
     for B, factors in blocks:
-        if factors is not factors_seen:  # the row indices, once per rank
-            factors_seen, w = factors, [q**t for t in reversed(range(len(B)))]
-            idxs = [tuple(sum(wt * c[o] for wt, c in zip(w, A)) for o in range(n)) for A in factors]
-        tab = [tuple(linalg.combine(F, v, B, zero)) for v in itertools.product(range(q), repeat=len(B))]
-        count += sum(code.syndrome(map(tab.__getitem__, idx)) == s for idx in idxs)
+        row = {v: tuple(linalg.combine(F, v, B, zero)) for v in itertools.product(range(q), repeat=len(B))}.__getitem__
+        count += sum(code.syndrome(map(row, zip(*A))) == s for A in factors)
     return count
 
 

@@ -114,9 +114,9 @@ def flat_space(repr, field, ext, n, m):
     """(F, D): a code in this representation is spanned by rows of length D
     over F with the standard dot product: GF(q)-linear 'matrix' codes on
     row-major n x m matrices (F = field, D = nm, no ``ext``), GF(q^m)-linear
-    'vector' codes on length-n vectors over ``ext`` (F = ext, D = n)."""
-    matrix = repr == "matrix"
-    if repr not in ("matrix", "vector") or (ext is None) != matrix or (matrix and field is None):
+    'vector' codes on length-n vectors over ``ext`` (F = ext, D = n).
+    ``field`` is GF(q) in both."""
+    if repr not in ("matrix", "vector") or (ext is None) != (repr == "matrix") or field is None:
         raise ParamError(f"representation {repr!r} with field {field!r} and extension field {ext!r}")
     return (field, n * m) if ext is None else (ext, n)
 
@@ -261,7 +261,7 @@ class LinearCode:
         checks them): equal for two words iff their difference is in the
         code.  Over GF(2) the XOR of the packed columns at the word's nonzero
         entries, an int; otherwise the tuple of ``parity_check`` dot products."""
-        if self.q == 2:
+        if self.field.order == 2:  # not self.q: a property call per ball word
             entries = itertools.chain.from_iterable(rows)
             return reduce(xor, itertools.compress(self._syndrome_columns, entries), 0)
         x = list(itertools.chain.from_iterable(rows))
@@ -287,13 +287,6 @@ def is_self_orthogonal(code: LinearCode) -> bool:
     """True iff all basis pairs (including self-pairs) are orthogonal."""
     F, rows = code.lin_field(), code.rows
     return not any(linalg.dot(F, rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows)))
-
-
-def is_contained_in_dual(code: LinearCode) -> bool:
-    """C subseteq dual(C), with the dual computed by the linear-algebra path:
-    C's rows stacked on the dual's independent rows add nothing to the rank."""
-    d = dual(code)
-    return linalg.rank(code.lin_field(), d.rows + code.rows) == d.k
 
 
 # -- code file format --------------------------------------------------------

@@ -13,7 +13,7 @@ from sorank import linalg
 from sorank.balls import enumerate_ball, gaussian_binomial
 from sorank.errors import ParamError
 from sorank.quadforms import QuadraticForm
-from sorank.words import MatrixWord, VectorWord, word_rank
+from sorank.words import MatrixWord, VectorWord, dual, word_rank
 
 
 def gb_recurrence_holds(n, k, q):
@@ -79,6 +79,13 @@ def ball_words(field, n, m, r):
     for B, factors in enumerate_ball(field, n, m, r):
         for A in factors:
             yield tuple(tuple(linalg.combine(field, [col[o] for col in A], B, zero)) for o in range(n))
+
+
+def is_contained_in_dual(code):
+    """C subseteq dual(C), with the dual computed by the linear-algebra path:
+    C's rows stacked on the dual's independent rows add nothing to the rank."""
+    d = dual(code)
+    return linalg.rank(code.lin_field(), d.rows + code.rows) == d.k
 
 
 def rank_distribution(code):

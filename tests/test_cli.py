@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -8,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import sorank
+from oracles import is_contained_in_dual
 from sorank import cli
-from sorank.construct import so_code
+from sorank.balls import iter_rref
+from sorank.construct import sample_code_star, so_code, uniform_linear_code
 from sorank.fields import ext_field, field_from_q
-from sorank.words import dump_code
+from sorank.words import LinearCode, dump_code, is_self_orthogonal
 
 BASE = [sys.executable, "-m", "sorank.cli"]
 # The CLI subprocess imports the same sorank as the tests, from a checkout too.
@@ -52,6 +55,49 @@ def test_verify_flags_violations():
     out = run_cli("verify", stdin=bad)
     assert out.returncode == 1
     assert out.stdout.startswith("violated:")
+
+
+def test_verify_flags_a_vector_code_violation():
+    bad = "repr=vector q=2 m=2 n=2 k=1\n1 0\n"  # <(1, 0), (1, 0)> = 1 in GF(4)
+    out = run_cli("verify", stdin=bad)
+    assert out.returncode == 1
+    assert out.stdout == "violated: basis pair with nonzero inner product\n"
+
+
+def _verify_codes():
+    """Every code of criterion 6's grid (GF(2), 2 x 2, k <= 2), then seeded
+    codes of the three ensembles over GF(2), GF(3) and GF(4), as 2 x 3
+    matrices and as GF(q^2)-linear vectors of length 5, with k = 0..2
+    (code-star from 1): the uniform codes are mostly not self-orthogonal."""
+    F2 = field_from_q(2)
+    for k in (0, 1, 2):
+        yield from (LinearCode(rows, F2, 2, 2) for rows in iter_rref(F2, k, 4))
+    for q in (2, 3, 4):
+        field = field_from_q(q)
+        for n, m, ext in ((2, 3, None), (5, 2, ext_field(q, 2))):
+            kwargs = {"repr": "matrix" if ext is None else "vector", "ext": ext}
+            for seed, k in itertools.product(range(3), (0, 1, 2)):
+                rng = random.Random(seed)
+                yield so_code(field, n, m, k, rng, **kwargs)
+                yield uniform_linear_code(field, n, m, k, rng, **kwargs)
+                if k:
+                    yield sample_code_star(field, n, m, k, rng, **kwargs)
+
+
+def test_verify_is_the_self_orthogonality_check(monkeypatch, capsys):
+    # load_code keeps only independent rows, and for those C lies in its
+    # dual exactly when every basis pair is orthogonal: the dual-containment
+    # oracle agrees with is_self_orthogonal, and verify prints its verdict.
+    verdicts = []
+    for code in _verify_codes():
+        so = is_self_orthogonal(code)
+        assert so == is_contained_in_dual(code), dump_code(code)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(dump_code(code)))
+        want = (0, "OK\n") if so else (1, "violated: basis pair with nonzero inner product\n")
+        assert (cli.main(["verify"]), capsys.readouterr().out) == want, dump_code(code)
+        verdicts.append(so)
+    assert len(verdicts) == 51 + 3 * 2 * 3 * 8
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_dual_pipeline():

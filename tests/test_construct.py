@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     code_star_law,
     from_full_matrix,
+    is_contained_in_dual,
     so_code_law,
     solve_in_span,
     span_key,
@@ -31,7 +32,6 @@ from sorank.words import (
     dual,
     dump_code,
     flat_space,
-    is_contained_in_dual,
     is_self_orthogonal,
 )
 
@@ -97,7 +97,7 @@ def test_vector_codes_self_orthogonal_and_dual_contained(q, n):
     rng = random.Random(q * 10 + n)
     k = max_so_dimension(n)
     for seed in range(20):
-        code = so_code(None, n, 3, k, rng, repr="vector", ext=ext)
+        code = so_code(field_from_q(q), n, 3, k, rng, repr="vector", ext=ext)
         assert code.k == k
         assert is_self_orthogonal(code)
         assert is_contained_in_dual(code)
@@ -113,7 +113,7 @@ def test_basis_helpers_match_code_constructor():
     words = so_code(F3, 2, 3, 2, rng).basis
     assert all(trace_inner_product(u, v) == 0 for u in words for v in words)
     E = ext_field(3, 2)
-    vecs = so_code(None, 5, 2, 2, rng, repr="vector", ext=E).basis
+    vecs = so_code(F3, 5, 2, 2, rng, repr="vector", ext=E).basis
     assert all(vector_inner_product(u, v) == 0 for u in vecs for v in vecs)
 
 
@@ -129,8 +129,16 @@ ENSEMBLES = [so_code, sample_code_star, uniform_linear_code]
         (F2, 7, {"repr": "vector", "ext": ext_field(2, 3)}),  # GF(2^3) is not GF(2^7)
         (F2, 3, {"repr": "matrix", "ext": ext_field(2, 3)}),  # a matrix code takes no extension
         (None, 3, {}),  # a matrix code needs its GF(q)
+        (None, 3, {"repr": "vector", "ext": ext_field(2, 3)}),  # so does a vector code
     ],
-    ids=["vector-without-ext", "ext-over-another-q", "ext-of-another-m", "matrix-with-ext", "matrix-without-field"],
+    ids=[
+        "vector-without-ext",
+        "ext-over-another-q",
+        "ext-of-another-m",
+        "matrix-with-ext",
+        "matrix-without-field",
+        "vector-without-field",
+    ],
 )
 def test_inconsistent_representation_arguments_rejected(ensemble, field, m, kwargs):
     with pytest.raises(ParamError):
@@ -143,7 +151,7 @@ def test_construction_builds_no_words(monkeypatch):
         post_init = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(self) or f(self))
     E = ext_field(2, 2)
-    for field, n, m, ext in [(F3, 2, 3, None), (None, 5, 2, E)]:
+    for field, n, m, ext in [(F3, 2, 3, None), (F2, 5, 2, E)]:
         kwargs = {"repr": "matrix" if ext is None else "vector", "ext": ext}
         codes = [ensemble(field, n, m, 2, random.Random(5), **kwargs) for ensemble in ENSEMBLES]
         for code in codes:
@@ -313,7 +321,7 @@ def _pooled_chisquare_pvalue(counts, law, draws):
 
 @pytest.mark.parametrize(
     "field, ext, n, draws",
-    [(F3, None, 2, 2000), (None, E4, 4, 3000)],
+    [(F3, None, 2, 2000), (F2, E4, 4, 3000)],
     ids=["GF3-matrix-2x2", "GF4-vector-n4"],
 )
 def test_code_star_draws_follow_the_exact_law(field, ext, n, draws):
@@ -333,5 +341,5 @@ def test_vector_so_code_draws_follow_the_exact_law():
     assert len(law) == 85 and set(law.values()) == {Fraction(1, 85)}
     rng = random.Random(2028)
     draws = 1000
-    counts = Counter(span_key(E4, so_code(None, 5, 2, 2, rng, repr="vector", ext=E4).rows) for _ in range(draws))
+    counts = Counter(span_key(E4, so_code(F2, 5, 2, 2, rng, repr="vector", ext=E4).rows) for _ in range(draws))
     assert _pooled_chisquare_pvalue(counts, law, draws) > 0.001

@@ -3,10 +3,11 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from oracles import ball_words, rank_distribution, solve_in_span, translate, vec_to_mat, zero_word
+from oracles import ball_words, code_star_law, rank_distribution, solve_in_span, translate, vec_to_mat, zero_word
 from sorank import experiments, linalg
 from sorank.balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, gaussian_binomial, iter_rref
 from sorank.construct import max_so_dimension, so_code, uniform_linear_code
@@ -398,13 +399,13 @@ def test_gf2_ball_route_matches_word_match_and_code_scan(monkeypatch):
     assert _check_forced_ball_route(2, 4, SPELL_OUT_LIMIT, code_scan, monkeypatch) == 729
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [3, 4, 9])
 def test_odd_and_gf4_ball_route_matches_word_match_and_code_scan(q, monkeypatch):
     """The q > 2 ball route matches the center's syndrome word by word, over
-    each block's table of rows.  Every shape up to 3 x 3 at every radius with
-    a ball of at most 2,000 words, which keeps blocks of rank 2 (2 x 3 at
-    r = 2 over GF(3), 2 x 2 over GF(4)); the code scan lists the codes of at
-    most 1,024 words."""
+    each block's table of rows keyed by coefficient tuple.  Every shape up to
+    3 x 3 at every radius with a ball of at most 2,000 words, which keeps
+    blocks of rank 2 (2 x 3 at r = 2 over GF(3), 2 x 2 over GF(4)); the code
+    scan lists the codes of at most 1,024 words."""
     F = field_from_q(q)
 
     def code_scan(code, rows):
@@ -698,6 +699,15 @@ def test_lemma47_rejects_bad_ell_and_tau():
             lemma47_event_estimate(2, 2, 2, tau, 2, 1, 5, seed=1)
 
 
+def _anisotropic_containment(q, n, m, k):
+    """P(w in C) for a k-dimensional code-star draw C = S + <x> in n x m
+    matrices over GF(q) and a fixed word w with <w, w> != 0.  S is totally
+    isotropic, so w is outside S, and w lies in S + <x> exactly when x is in
+    c * w + S for some c != 0: (q - 1) q^(k-1) of the q^D - q^(k-1) equally
+    likely choices of x (D = nm), whatever the law of S."""
+    return Fraction(q - 1, q ** (n * m - k + 1) - 1)
+
+
 def test_frozen_event_frequencies():
     # regression values pinned from seeded 10^4-trial runs
     est = lemma47_event_estimate(2, 2, 2, 0.5, 2, 1, 10_000, seed=7)
@@ -706,6 +716,38 @@ def test_frozen_event_frequencies():
     est = lemma48_event_estimate(2, 2, 4, 3, [w], 10_000, seed=11)
     assert (est.successes, est.trials) == (189, 10_000)
     assert est.extra["bound"] == 32
+    # <w, w> = 1, so the exact probability is 1/63.  189/10,000 lies 2.4
+    # standard errors above it, outside its own 95% Wilson interval.
+    exact = _anisotropic_containment(2, 2, 4, 3)
+    assert exact == Fraction(1, 63)
+    se = math.sqrt(exact * (1 - exact) / est.trials)
+    assert abs(est.frequency - exact) < 3 * se
+    assert not est.ci_low <= exact <= est.ci_high
+
+
+# (q, n, m, k) with the exact containment probability of an anisotropic word.
+ANISOTROPIC_CASES = {
+    "GF2-2x3-k2": (2, 2, 3, 2, Fraction(1, 31)),
+    "GF2-2x4-k2": (2, 2, 4, 2, Fraction(1, 127)),
+    "GF3-2x2-k1": (3, 2, 2, 1, Fraction(1, 40)),
+    "GF3-2x3-k2": (3, 2, 3, 2, Fraction(1, 121)),
+}
+
+
+@pytest.mark.parametrize("q, n, m, k, p", ANISOTROPIC_CASES.values(), ids=ANISOTROPIC_CASES.keys())
+def test_anisotropic_containment_is_exact_under_the_code_star_law(q, n, m, k, p):
+    # Lemma 48's event for one word, summed over the exact law of the code
+    # spans sample_code_star draws, for three words w with <w, w> != 0.
+    F, D = field_from_q(q), n * m
+    law = code_star_law(F, D, k)
+    rng = random.Random(59)
+    words = [(1,) + (0,) * (D - 1)]
+    while len(words) < 3:
+        w = tuple(rng.randrange(q) for _ in range(D))
+        words += [w] if linalg.dot(F, w, w) else []
+    for w in words:
+        hit = sum(prob for key, prob in law.items() if solve_in_span(F, key, w) is not None)
+        assert hit == _anisotropic_containment(q, n, m, k) == p, w
 
 
 def test_lemma48_bound_and_estimate():

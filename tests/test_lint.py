@@ -33,13 +33,14 @@ UNREFERENCED_API = {
 }
 
 
-def test_no_public_name_exists_only_for_tests():
-    # A public function, method or class that no name, attribute or import in
-    # the package refers to is called from outside only; reference
-    # implementations that tests compare against belong in tests/oracles.py.
-    # A re-export in __init__.py is no reference: it only passes a name on.
-    # A method is referred to only by an attribute (``x.zero``): a local
-    # variable of the same name does not call it.
+def _public_names():
+    """(defined, unreferenced): every public function, method or class of
+    the package, as (name, is_method) -> where, and the set of those keys
+    that nothing in the package refers to.
+
+    A re-export in __init__.py is no reference: it only passes a name on.
+    A method is referred to only by an attribute (``x.zero``): a local
+    variable of the same name does not call it."""
     defined, names, attrs = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -53,12 +54,48 @@ def test_no_public_name_exists_only_for_tests():
                 attrs.add(node.attr)
             elif isinstance(node, ast.alias) and path.name != "__init__.py":
                 names.add(node.name)
-    unreferenced = sorted(
+    unreferenced = {(name, method) for name, method in defined if name not in attrs and (method or name not in names)}
+    return defined, unreferenced
+
+
+def test_no_public_name_exists_only_for_tests():
+    # A public function, method or class that nothing in the package refers
+    # to is called from outside only; reference implementations that tests
+    # compare against belong in tests/oracles.py.
+    defined, unreferenced = _public_names()
+    found = sorted(
         f"{name} ({where})"
         for (name, method), where in defined.items()
-        if name not in attrs | UNREFERENCED_API and (method or name not in names)
+        if (name, method) in unreferenced and name not in UNREFERENCED_API
     )
-    assert not unreferenced, f"public names nothing in sorank refers to: {unreferenced}"
+    assert not found, f"public names nothing in sorank refers to: {found}"
+
+
+def test_unreferenced_api_entries_are_live():
+    # An entry whose name was deleted or renamed, or that the package now
+    # calls, is stale; a stale entry would let a later name of that spelling
+    # exist only for tests.
+    defined, unreferenced = _public_names()
+    stale = sorted(UNREFERENCED_API - {name for name, _ in defined})
+    assert not stale, f"UNREFERENCED_API names sorank no longer defines: {stale}"
+    referenced = sorted(UNREFERENCED_API - {name for name, _ in unreferenced})
+    assert not referenced, f"UNREFERENCED_API names sorank now refers to: {referenced}"
+
+
+def test_every_oracle_is_called_by_a_test():
+    # An oracle that no test calls checks nothing.  Oracles may call each
+    # other, but each needs a caller in a test module too.
+    tests = Path(__file__).parent
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    defined = {node.name for node in oracles.body if isinstance(node, ast.FunctionDef)}
+    called = set()
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    uncalled = sorted(defined - called)
+    assert not uncalled, f"oracles no test calls: {uncalled}"
 
 
 def _private(name):

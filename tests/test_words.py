@@ -4,7 +4,15 @@ import pytest
 
 from sorank import linalg
 from sorank.errors import FormatError, ParamError
-from oracles import lemma1_pair_identity, mat_to_vec, trace_inner_product, vec_to_mat, vector_inner_product, zero_word
+from oracles import (
+    is_contained_in_dual,
+    lemma1_pair_identity,
+    mat_to_vec,
+    trace_inner_product,
+    vec_to_mat,
+    vector_inner_product,
+    zero_word,
+)
 from sorank.fields import ExtField, ext_field, field_from_q, find_self_dual_basis
 from sorank.words import (
     LinearCode,
@@ -12,7 +20,6 @@ from sorank.words import (
     VectorWord,
     dual,
     dump_code,
-    is_contained_in_dual,
     is_self_orthogonal,
     load_code,
     rank_distance,
