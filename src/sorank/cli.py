@@ -21,7 +21,7 @@ import typing
 
 from . import balls, construct, experiments, words
 from .errors import FormatError, ParamError, ToolkitError
-from .fields import ext_field, field_from_q, find_self_dual_basis
+from .fields import ext_field, field_from_q, find_self_dual_basis, prime_power
 from .quadforms import QuadraticForm, count_roots_brute, count_roots_formula, rank_of_form, sample_root
 
 
@@ -101,6 +101,9 @@ def _cmd_verify(args, out):
 
 
 def _cmd_ball(args, out):
+    prime_power(args.q)  # a ball size needs no field tables, only a valid q
+    if args.n < 1 or args.m < 1:
+        raise ParamError("ball needs n, m >= 1")
     if args.bound:
         if args.tau is None:
             raise ParamError("--bound requires --tau")

@@ -167,6 +167,8 @@ class ExperimentConfig:
     ensemble: str = "self-orthogonal"
 
     def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise ParamError("n and m must be >= 1")
         if not 0 < self.tau < 1 or not 0 < self.epsilon < 1:
             raise ParamError("tau and epsilon must lie in (0, 1)")
         if self.trials < 1:

@@ -4,9 +4,12 @@ Elements are plain ints.  An element of GF(p^e) packs its polynomial-basis
 coefficients base p into one integer; an element of GF(q^m) packs its
 GF(q)-coefficients base q.  Multiplication goes through log/antilog tables
 built once per field (a primitive element is found at construction), so a
-product is two table lookups.  Irreducible moduli are chosen
-deterministically (least packed encoding among monic irreducibles) so
-element encodings are reproducible across runs and platforms.
+product is two table lookups.  Addition is XOR in characteristic 2, mod p
+in prime fields, and in other odd fields a Zech logarithm table read off
+the log/antilog tables.  Every table is linear in the order, and so is the
+work of building it.  Irreducible moduli are chosen deterministically
+(least packed encoding among monic irreducibles) so element encodings are
+reproducible across runs and platforms.
 
 The non-goal ceiling is q^m <= 2^20; table construction refuses anything
 larger.
@@ -20,7 +23,6 @@ from . import linalg
 from .errors import ParamError
 
 _MAX_ORDER = 1 << 20
-_ADD_TABLE_LIMIT = 512
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -119,9 +121,6 @@ class _PrimeOps:
     def sub(self, a, b):
         return (a - b) % self.order
 
-    def neg(self, a):
-        return (-a) % self.order
-
     def mul(self, a, b):
         return (a * b) % self.order
 
@@ -213,40 +212,32 @@ class _PackedField:
         self.inv = inv
         self.pow = power
 
-        # Addition: XOR in characteristic 2, a cached table for other small
-        # fields, digitwise fallback otherwise.
+        # Addition: XOR in characteristic 2, mod p in prime fields, and
+        # otherwise Zech logarithms, 1 + g^d = g^zech[d]: then a + b is
+        # g^(log a + zech[log b - log a]) and -a is g^(log a + o1/2).
         if self.char == 2:
-            self.add = lambda a, b: a ^ b
-            self.sub = self.add
+            self.add = self.sub = lambda a, b: a ^ b
             self.neg = lambda a: a
-        elif self.deg == 1 and isinstance(self.scalar, _PrimeOps):
-            p = self.char
-            self.add = lambda a, b: (a + b) % p
-            self.sub = lambda a, b: (a - b) % p
-            self.neg = lambda a: (-a) % p
+        elif order == self.char:
+            self.add = lambda a, b: (a + b) % order
+            self.sub = lambda a, b: (a - b) % order
+            self.neg = lambda a: (-a) % order
         else:
-            s = self.scalar
-            base = s.order
-            deg = self.deg
+            s, half = self.scalar, o1 // 2
+            # 1 + x changes only x's constant digit; 1 + g^half = 0 has no log.
+            zech = [log[x - x % s.order + s.add(x % s.order, 1)] for x in exp[:o1]]
+            zech[half] = None
 
-            def add_slow(a, b):
-                da = _digits(a, base, deg)
-                db = _digits(b, base, deg)
-                return _undigits([s.add(x, y) for x, y in zip(da, db)], base)
+            def add(a, b):
+                if a and b:
+                    la = log[a]
+                    z = zech[log[b] - la]  # a negative index wraps mod o1
+                    return 0 if z is None else exp[la + z]
+                return a or b
 
-            def neg_slow(a):
-                return _undigits([s.neg(x) for x in _digits(a, base, deg)], base)
-
-            if order <= _ADD_TABLE_LIMIT:
-                table = [[add_slow(a, b) for b in range(order)] for a in range(order)]
-                negs = [neg_slow(a) for a in range(order)]
-                self.add = lambda a, b: table[a][b]
-                self.sub = lambda a, b: table[a][negs[b]]
-                self.neg = lambda a: negs[a]
-            else:
-                self.add = add_slow
-                self.neg = neg_slow
-                self.sub = lambda a, b: add_slow(a, neg_slow(b))
+            self.add = add
+            self.neg = lambda a: exp[log[a] + half] if a else 0
+            self.sub = lambda a, b: add(a, exp[log[b] + half]) if b else a
 
     def to_digits(self, x):
         return _digits(x, self.scalar.order, self.deg)
@@ -357,20 +348,22 @@ def find_self_dual_basis(ext: ExtField):
         total = ext.add(total, y)
 
 
+def prime_power(q):
+    """(p, e) with q = p^e for a prime p; ParamError when q is none."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ParamError(f"{q} is not a prime power")
+    p, e = factors[0], 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
+
+
 @lru_cache(maxsize=None)
 def field_from_q(q):
     """The field GF(q) with the deterministic modulus, q any prime power."""
-    if q < 2:
-        raise ParamError(f"{q} is not a prime power")
-    p = min(_prime_factors(q))
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ParamError(f"{q} is not a prime power")
-    return Field(p, e)
+    return Field(*prime_power(q))
 
 
 @lru_cache(maxsize=None)

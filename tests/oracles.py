@@ -139,6 +139,17 @@ def lemma1_pair_identity(a: VectorWord, b: VectorWord):
     return lhs, rhs
 
 
+def digitwise_add(p, a, b, sign=1):
+    """a + sign*b in any field of characteristic p with the packed encoding:
+    an element's base-p digits are its coefficients over GF(p) (through
+    every tower level), and addition is coefficientwise mod p."""
+    out, place = 0, 1
+    while a or b:
+        out += (a % p + sign * (b % p)) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
 def frobenius_trace(ext, x):
     """tr(x) as the sum of its m Frobenius conjugates x, x^q, ..., x^(q^(m-1))."""
     s = 0

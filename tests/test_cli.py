@@ -129,6 +129,30 @@ def test_ball_tall_shape_and_missing_radius():
         assert out.stderr == "error: E_PARAM: ball needs --r, or --bound with --tau\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "6", "--n", "2", "--m", "2", "--r", "1"],
+        ["--q", "0", "--n", "2", "--m", "2", "--r", "1"],
+        ["--q", "1", "--n", "2", "--m", "2", "--r", "1"],
+        ["--q", "2", "--n", "2", "--m", "0", "--tau", "0.5", "--bound"],
+        ["--q", "2", "--n", "0", "--m", "2", "--r", "0"],
+    ],
+    ids=["q-not-prime-power", "q-zero", "q-one", "m-zero-bound", "n-zero"],
+)
+def test_ball_rejects_bad_parameters(argv, capsys):
+    assert cli.main(["ball", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: E_PARAM: ") and err.count("\n") == 1
+
+
+def test_ball_takes_any_prime_power(capsys):
+    # A ball size is a count: q is checked as a prime power, with no field
+    # tables built, so a q beyond the 2^20 table limit is counted too.
+    assert cli.main(["ball", "--q", str(2**21), "--n", "1", "--m", "1", "--r", "1"]) == 0
+    assert capsys.readouterr().out == f"{2**21}\n"
+
+
 def test_roots_command():
     out = run_cli("roots", "--q", "5", "--nvars", "2", "--coeffs", "1,0,1", "--sample", "--nonzero")
     assert out.returncode == 0

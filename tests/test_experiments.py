@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import math
+import pathlib
 import random
+import statistics
 import tracemalloc
 from fractions import Fraction
 
@@ -579,6 +581,9 @@ def test_experiment_config_validation():
         ExperimentConfig(2, 2, 4, 0.5, 0.1, 0)
     with pytest.raises(ParamError):
         ExperimentConfig(2, 2, 4, 0.5, 0.1, 10, ensemble="nope")
+    for n, m in ((0, 4), (2, 0), (-1, 4)):
+        with pytest.raises(ParamError, match="n and m must be >= 1"):
+            ExperimentConfig(2, n, m, 0.5, 0.1, 10)
     cfg = ExperimentConfig(2, 2, 4, 0.5, 0.1, 10, seed=42)
     assert cfg.radius == 1
     assert cfg.dimension() == 2
@@ -631,6 +636,46 @@ def test_experiment_streams_pinned(repr_, ensemble):
     assert cfg.dimension() == 2
     csv = max_list_size_experiment(cfg).to_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == STREAM_SHA256[repr_, ensemble]
+
+
+# First moment of the random-center list size: each word of a linear code C
+# lies within rank distance r of |B_R(0, r)| of the q^(nm) centers, so
+# E_y[L] = |C| |B_R(0, r)| / q^(nm) whatever the code.  Sample means are held
+# to it at a z bound with the sample SD.
+MEAN_Z_BOUND = 4
+GOLDEN_CSV = pathlib.Path(__file__).parent / "golden" / "maxlist_q2n2m4_seed42.csv"
+MEAN_CONFIGS = {
+    ("matrix", 2): dict(q=2, n=2, m=4, tau=0.5, epsilon=0.1),  # k=2
+    ("matrix", 3): dict(q=3, n=2, m=4, tau=0.5, epsilon=0.1),  # k=2
+    ("vector", 2): dict(q=2, n=3, m=3, tau=0.34, epsilon=0.1),  # k=1 over GF(8)
+    ("vector", 3): dict(q=3, n=3, m=3, tau=0.34, epsilon=0.1),  # k=1 over GF(27)
+}
+
+
+def exact_mean_list_size(cfg):
+    code_size = cfg.q ** (cfg.dimension() * (cfg.m if cfg.repr == "vector" else 1))
+    return Fraction(code_size * ball_size_exact(cfg.n, cfg.m, cfg.q, cfg.radius), cfg.q ** (cfg.n * cfg.m))
+
+
+def mean_z(list_sizes, exact):
+    return (statistics.fmean(list_sizes) - exact) / (statistics.stdev(list_sizes) / math.sqrt(len(list_sizes)))
+
+
+def test_golden_csv_mean_matches_first_moment():
+    rows = [ln.split(",") for ln in GOLDEN_CSV.read_text().splitlines()[1:] if not ln.startswith("#")]
+    list_sizes = [int(row[1]) for row in rows]
+    exact = exact_mean_list_size(ExperimentConfig(2, 2, 4, 0.5, 0.1, len(rows), seed=42))
+    assert len(list_sizes) == 10_000 and exact == Fraction(4 * 46, 256)
+    assert abs(mean_z(list_sizes, exact)) <= MEAN_Z_BOUND
+
+
+@pytest.mark.parametrize("ensemble", ["self-orthogonal", "code-star", "uniform-linear"])
+@pytest.mark.parametrize("repr_, q", MEAN_CONFIGS, ids=[f"{r}-q{q}" for r, q in MEAN_CONFIGS])
+def test_experiment_mean_matches_first_moment(repr_, q, ensemble):
+    cfg = ExperimentConfig(**MEAN_CONFIGS[repr_, q], trials=400, seed=1, repr=repr_, ensemble=ensemble)
+    assert cfg.dimension() >= 1
+    rep = max_list_size_experiment(cfg)
+    assert abs(mean_z(rep.list_sizes, exact_mean_list_size(cfg))) <= MEAN_Z_BOUND
 
 
 @pytest.mark.parametrize("ensemble", ["self-orthogonal", "code-star", "uniform-linear"])

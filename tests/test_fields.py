@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import frobenius_trace, from_coords
+from oracles import digitwise_add, frobenius_trace, from_coords
 from sorank import linalg
 from sorank.errors import ParamError
 from sorank.fields import (
@@ -56,6 +56,50 @@ def test_field_axioms_random(q, m):
     for a in range(1, o):
         assert E.mul(a, E.inv(a)) == 1
         assert E.add(a, E.neg(a)) == 0
+
+
+# Odd fields outside the prime fields, which add through Zech logarithms:
+# (q, m) builds GF(q^m) over GF(q), towers included, from 9 to 729 elements.
+ZECH_FIELDS = [(9, 1), (3, 2), (27, 1), (3, 3), (81, 1), (9, 2), (125, 1), (5, 3), (343, 1), (3, 6)]
+
+
+@pytest.mark.parametrize("q,m", ZECH_FIELDS)
+def test_zech_addition_matches_digitwise_on_every_pair(q, m):
+    F = field_from_q(q) if m == 1 else ext_field(q, m)
+    p, o = F.char, F.order
+    assert [F.neg(a) for a in range(o)] == [digitwise_add(p, 0, a, -1) for a in range(o)]
+    for a in range(o):  # b = 0 and b = -a included
+        assert [F.add(a, b) for b in range(o)] == [digitwise_add(p, a, b) for b in range(o)]
+        assert [F.sub(a, b) for b in range(o)] == [digitwise_add(p, a, b, -1) for b in range(o)]
+
+
+def test_zech_addition_matches_digitwise_on_random_pairs():
+    F = field_from_q(3**9)
+    rng = random.Random(9)
+    for _ in range(20_000):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert F.add(a, b) == digitwise_add(3, a, b)
+        assert F.sub(a, b) == digitwise_add(3, a, b, -1)
+        assert F.neg(a) == digitwise_add(3, 0, a, -1)
+        assert F.add(a, F.neg(a)) == 0 and F.sub(a, a) == 0
+
+
+@pytest.mark.parametrize("p,m", [(7, 3), (3, 5), (5, 3)])
+def test_extension_build_is_linear_in_the_order(p, m, monkeypatch):
+    # A quadratic table would add once per pair of elements; the exp/log and
+    # Zech tables add a few times per element.
+    base = Field(p)
+    calls = 0
+    add = base.add
+
+    def counting_add(a, b):
+        nonlocal calls
+        calls += 1
+        return add(a, b)
+
+    monkeypatch.setattr(base, "add", counting_add)
+    E = ExtField(base, m)
+    assert 0 < calls <= 32 * E.order
 
 
 # (q, m) of each field the CLI benchmark builds, with m = 1 read as GF(q) over itself.
