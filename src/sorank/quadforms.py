@@ -12,8 +12,10 @@ Roots are listed lazily in ``itertools.product`` order.  A diagonal form in
 characteristic 2 is the square of a linear form, sum a_i x_i^2 =
 (sum sqrt(a_i) x_i)^2, so its roots are a hyperplane: they are enumerated
 directly, one coordinate solved from the others, without evaluating the
-form.  Every other form is evaluated at each point of the space.  The zero
-point is the first root of every form, so ``nonzero`` skips the first root.
+form.  Every other form is a z^2 + l z + c in its last coordinate z, where
+l and c depend on the prefix of the other coordinates; for each prefix the
+z are read from a table, so no point is evaluated.  The zero point is the
+first root of every form, so ``nonzero`` skips the first root.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ EXHAUSTIVE_SAMPLE_LIMIT = 1 << 20
 SAMPLE_BUDGET = 100_000
 # Prefixes whose partial sums _diagonal_char2_roots keeps in one block.
 _ROOT_BLOCK = 256
+# Most entries the per-l tables of _last_coordinate_roots may hold (o^2).
+_ROOT_TABLE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ def iter_roots(f: QuadraticForm, nonzero=False):
     if F.char == 2 and all(i == j for i, j, _ in f._terms):
         roots = _diagonal_char2_roots(f)
     else:
-        roots = (x for x in itertools.product(range(F.order), repeat=f.nvars) if f.evaluate(x) == 0)
+        roots = _last_coordinate_roots(f)
     if nonzero:
         next(roots)  # the zero point, the first root of every form
     yield from roots
@@ -188,6 +192,43 @@ def _diagonal_char2_roots(f):
     if not tail:
         return heads
     return (head + z for head in heads for z in itertools.product(free, repeat=tail))
+
+
+def _last_coordinate_roots(f):
+    """Roots of f = a z^2 + l(x') z + c(x'), z the last coordinate and x' the
+    prefix: for each x' in ``itertools.product`` order, x' + (z,) for the z
+    in T[l][c], where T[l][v] lists in ascending order the z with
+    a z^2 + l z + v = 0.  So the roots come in the order of the full product
+    scan.  T[l] is built on the first prefix with that l, one pass over z.
+    Fields whose o^2 table entries exceed _ROOT_TABLE_LIMIT keep no tables
+    and try every z for each prefix instead.
+    """
+    F = f.field
+    add, mul, neg = F.add, F.mul, F.neg
+    free = range(F.order)
+    keep = F.order**2 <= _ROOT_TABLE_LIMIT
+    p = f.nvars - 1
+    a = next((aij for i, _, aij in f._terms if i == p), 0)
+    cross = [(i, aij) for i, j, aij in f._terms if i < j == p]
+    head = [term for term in f._terms if term[1] < p]
+    tables = {}
+    for x in itertools.product(free, repeat=p):
+        l = c = 0
+        for i, aij in cross:
+            l = add(l, mul(aij, x[i]))
+        for i, j, aij in head:
+            c = add(c, mul(aij, mul(x[i], x[j])))
+        if keep:
+            t = tables.get(l)
+            if t is None:
+                t = tables[l] = {}
+                for z in free:
+                    t.setdefault(neg(mul(add(mul(a, z), l), z)), []).append(z)
+            zs = t.get(c, ())
+        else:
+            zs = [z for z in free if add(mul(add(mul(a, z), l), z), c) == 0]
+        for z in zs:
+            yield x + (z,)
 
 
 def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT):

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from oracles import from_full_matrix, iter_roots_brute, rank_of_form_two_matrices, transform
-from sorank import linalg
+from sorank import linalg, quadforms
 from sorank.errors import ParamError, SizeError
 from sorank.fields import ext_field, field_from_q
 from sorank.quadforms import (
@@ -153,8 +153,11 @@ def test_transform_is_evaluation_composition():
 
 def _forms_for_root_listing(field, N, rng):
     """Random diagonal forms, the zero form, the forms whose only nonzero
-    coefficient is the first or the last, and random non-diagonal forms."""
+    coefficient is the first or the last, random non-diagonal forms, forms
+    without the last variable and forms whose last variable has only cross
+    terms."""
     ncoef = N * (N + 1) // 2
+    last = [i * (2 * N - i + 1) // 2 + N - 1 - i for i in range(N)]  # a_{i,N-1}
     for _ in range(4):
         yield diagonal_form(field, [rng.randrange(field.order) for _ in range(N)])
     yield QuadraticForm(N, (0,) * ncoef, field)
@@ -165,21 +168,43 @@ def _forms_for_root_listing(field, N, rng):
         if N > 1:
             c[1] = rng.randrange(1, field.order)  # the x_0 x_1 term
         yield QuadraticForm(N, tuple(c), field)
+    for _ in range(2):
+        c = [rng.randrange(field.order) for _ in range(ncoef)]
+        for t in last:
+            c[t] = 0  # a = 0 and no a_{i,N-1}: x_{N-1} is absent
+        yield QuadraticForm(N, tuple(c), field)
+        if N > 1:
+            c[last[rng.randrange(N - 1)]] = rng.randrange(1, field.order)  # a = 0, one cross term
+            yield QuadraticForm(N, tuple(c), field)
 
 
-ROOT_LISTING_GRID = [(field_from_q(q), N) for q in (2, 3, 4, 5) for N in range(1, 6)] + [
-    (field, N) for field in (field_from_q(8), ext_field(2, 3)) for N in range(1, 5)
-]
+ROOT_LISTING_GRID = (
+    [(field_from_q(q), N) for q in (2, 3, 4, 5) for N in range(1, 6)]
+    + [(field, N) for field in (field_from_q(8), ext_field(2, 3), field_from_q(9)) for N in range(1, 5)]
+    + [(field, N) for field in (field_from_q(16), ext_field(2, 4)) for N in range(1, 4)]
+)
 
 
 @pytest.mark.parametrize("field,N", ROOT_LISTING_GRID, ids=lambda v: repr(v))
 def test_iter_roots_matches_full_scan(field, N):
-    # The characteristic-2 diagonal path must list the same roots in the same
-    # order as the scan that evaluates every point; other forms take the scan.
+    # Both listers, the characteristic-2 hyperplane and the last-coordinate
+    # solve, must list the roots in the order of the scan that evaluates
+    # every point.
     rng = random.Random(field.order * 10 + N)
     for f in _forms_for_root_listing(field, N, rng):
         for nonzero in (False, True):
             assert list(iter_roots(f, nonzero)) == list(iter_roots_brute(f, nonzero)), (f.coeffs, nonzero)
+
+
+@pytest.mark.parametrize("q", (3, 4, 5))
+def test_iter_roots_without_tables_matches_full_scan(q, monkeypatch):
+    # Fields too large for the last-coordinate tables try every z instead.
+    monkeypatch.setattr(quadforms, "_ROOT_TABLE_LIMIT", 0)
+    field = field_from_q(q)
+    rng = random.Random(q)
+    for N in range(1, 4):
+        for f in _forms_for_root_listing(field, N, rng):
+            assert list(iter_roots(f, True)) == list(iter_roots_brute(f, True)), f.coeffs
 
 
 def test_iter_roots_is_lazy():
@@ -194,6 +219,33 @@ def test_iter_roots_is_lazy():
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak} bytes"
     assert first == list(itertools.islice(iter_roots_brute(f), 1000))
+
+
+def test_iter_roots_of_a_non_diagonal_form_is_lazy():
+    # About 3^13 roots over GF(3)^14, listed by the last-coordinate solve.
+    f = _random_form(F3, 14, random.Random(14))
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(iter_roots(f), 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+    assert first == list(itertools.islice(iter_roots_brute(f), 1000))
+
+
+def test_iter_roots_never_evaluates_the_form(monkeypatch):
+    calls = []
+    evaluate = QuadraticForm.evaluate
+    monkeypatch.setattr(QuadraticForm, "evaluate", lambda f, x: calls.append(x) or evaluate(f, x))
+    forms = [
+        QuadraticForm(3, (1, 2, 3, 4, 5, 6), ext_field(2, 4)),
+        QuadraticForm(3, (1, 1, 0, 2, 1, 1), F3),
+        sum_of_squares(F5, 3),
+    ]
+    counts = [sum(1 for _ in iter_roots(f)) for f in forms]
+    assert calls == []
+    assert counts == [sum(1 for _ in iter_roots_brute(f)) for f in forms]
 
 
 # sha256 of 200 nonzero sum-of-squares roots drawn with random.Random(N) and
@@ -219,6 +271,38 @@ def test_sample_root_streams_pinned(q, N):
     rng = random.Random(N)
     draws = [sample_root(f, rng, nonzero=True, exhaustive_limit=256) for _ in range(200)]
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == SAMPLE_ROOT_STREAMS[q, N]
+
+
+CLI_FORM_GF16 = ("GF(16)", (1, 2, 3, 4, 5, 6))  # `sorank roots --q 2 --ext-m 4 --nvars 3`
+
+# The same draws with exhaustive_limit = q^N, for forms outside the
+# characteristic-2 diagonal case: odd-q sums of squares and the CLI's
+# non-diagonal GF(16) form.  Recorded while such forms were listed by the
+# full scan that oracles.iter_roots_brute keeps.
+GENERIC_ROOT_STREAMS = {
+    (3, 3): "bfffa47dfb915860dd7856baa664d44153b73c85abdc7715abcdcec3a8b51424",
+    (3, 4): "5ad44cab7b1aa726c1386ab43f6604a48c6585b1958929d7b799da7afd09cc55",
+    (3, 5): "d718b5815be61f7f366abac9ccddde12a46077b968379d055a562422ab3c82da",
+    (5, 2): "3499e967383c8c585aef954e46ee63df8ecf475c5521f3d6fb756d6bcbc61a4f",
+    (5, 3): "4bada769a78e4c64bf186cfbaf4d249a3e909145b076f780b2d923ca3f980a73",
+    (5, 4): "460fa6ce29c5872c852ea9a8a07ca536bf2f837da90f9b378d07eca589efb266",
+    (9, 2): "b14d48fe7eefe4d07abe6c8c751ac42c7f9ea838c34dc2532aff3c8644c996f1",
+    (9, 3): "335500601127faa71b640dcbd3cc7603e57ea4770d56b60c30fc6240d42e6548",
+    CLI_FORM_GF16: "dcc2445c309ce1c80e86fb65396547bccec4276267ccf6be20cf098c6d0d795b",
+}
+
+
+@pytest.mark.parametrize("key", list(GENERIC_ROOT_STREAMS), ids=str)
+def test_generic_root_streams_pinned(key):
+    if key == CLI_FORM_GF16:
+        f = QuadraticForm(3, key[1], ext_field(2, 4))
+    else:
+        f = sum_of_squares(field_from_q(key[0]), key[1])
+    N = f.nvars
+    rng = random.Random(N)
+    limit = f.field.order**N
+    draws = [sample_root(f, rng, nonzero=True, exhaustive_limit=limit) for _ in range(200)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == GENERIC_ROOT_STREAMS[key]
 
 
 def test_sample_root_examples():
