@@ -17,7 +17,7 @@ larger.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 from . import linalg
 from .errors import ParamError
@@ -182,26 +182,12 @@ class _PackedField:
         g = self._find_primitive()
         exp = [0] * (2 * o1)
         log = [0] * order
-        step = partial(self._raw_mul, g)
-        if self.char == 2:
-            # x -> x g is GF(2)-linear on the packed bits and addition is
-            # XOR, so x g is the XOR of the images of x's low and high bits,
-            # read from two tables built from the images of the single bits.
-            bits = order.bit_length() - 1
-            half = (bits + 1) // 2
-            low, high = [0], [0]
-            for k in range(bits):
-                image = self._raw_mul(1 << k, g)
-                t = low if k < half else high
-                t += [v ^ image for v in t]
-            mask = (1 << half) - 1
-            step = lambda x: low[x & mask] ^ high[x >> half]
         x = 1
         for i in range(o1):
             exp[i] = x
             exp[i + o1] = x
             log[x] = i
-            x = step(x)
+            x = self._raw_mul(x, g)
 
         def mul(a, b):
             if a == 0 or b == 0:

@@ -200,8 +200,8 @@ def _last_coordinate_roots(f):
     in T[l][c], where T[l][v] lists in ascending order the z with
     a z^2 + l z + v = 0.  So the roots come in the order of the full product
     scan.  T[l] is built on the first prefix with that l, one pass over z.
-    Fields whose o^2 table entries exceed _ROOT_TABLE_LIMIT keep no tables
-    and try every z for each prefix instead.
+    Fields whose o^2 table entries exceed _ROOT_TABLE_LIMIT keep no tables:
+    T[l] is built again for each prefix.
     """
     F = f.field
     add, mul, neg = F.add, F.mul, F.neg
@@ -218,16 +218,14 @@ def _last_coordinate_roots(f):
             l = add(l, mul(aij, x[i]))
         for i, j, aij in head:
             c = add(c, mul(aij, mul(x[i], x[j])))
-        if keep:
-            t = tables.get(l)
-            if t is None:
-                t = tables[l] = {}
-                for z in free:
-                    t.setdefault(neg(mul(add(mul(a, z), l), z)), []).append(z)
-            zs = t.get(c, ())
-        else:
-            zs = [z for z in free if add(mul(add(mul(a, z), l), z), c) == 0]
-        for z in zs:
+        t = tables.get(l)
+        if t is None:
+            t = {}
+            for z in free:
+                t.setdefault(neg(mul(add(mul(a, z), l), z)), []).append(z)
+            if keep:
+                tables[l] = t
+        for z in t.get(c, ()):
             yield x + (z,)
 
 

@@ -102,25 +102,6 @@ def test_extension_build_is_linear_in_the_order(p, m, monkeypatch):
     assert 0 < calls <= 32 * E.order
 
 
-# Every characteristic-2 field of at most 2^12 elements, as (q, m) for
-# GF(q^m) over GF(q), towers included; m = 1 is GF(q) itself.
-CHAR2_FIELDS = [(2**e, m) for e in range(1, 13) for m in range(1, 12 // e + 1)]
-
-
-@pytest.mark.parametrize("q,m", CHAR2_FIELDS)
-def test_char2_exp_table_is_the_raw_multiplication_chain(q, m):
-    # The exp table is stepped by XOR tables of bit images; it must hold
-    # the powers of the primitive element that one _raw_mul per step gives.
-    F = field_from_q(q) if m == 1 else ext_field(q, m)
-    g = F._find_primitive()
-    chain = [1]
-    for _ in range(F.order - 2):
-        chain.append(F._raw_mul(chain[-1], g))
-    assert [F.pow(g, i) for i in range(F.order - 1)] == chain
-    assert F._raw_mul(chain[-1], g) == 1
-    assert all(F.mul(y, 1) == y for y in range(1, F.order))  # log inverts exp
-
-
 # (q, m) of each field the CLI benchmark builds, with m = 1 read as GF(q) over itself.
 CLI_FIELDS = [(2, 1), (3, 1), (4, 1), (5, 1), (4, 3), (2, 4), (5, 3), (4, 4)]
 

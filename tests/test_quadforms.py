@@ -198,13 +198,28 @@ def test_iter_roots_matches_full_scan(field, N):
 
 @pytest.mark.parametrize("q", (3, 4, 5))
 def test_iter_roots_without_tables_matches_full_scan(q, monkeypatch):
-    # Fields too large for the last-coordinate tables try every z instead.
+    # Fields too large to keep the last-coordinate tables build one per prefix.
     monkeypatch.setattr(quadforms, "_ROOT_TABLE_LIMIT", 0)
     field = field_from_q(q)
     rng = random.Random(q)
     for N in range(1, 4):
         for f in _forms_for_root_listing(field, N, rng):
             assert list(iter_roots(f, True)) == list(iter_roots_brute(f, True)), f.coeffs
+
+
+def test_iter_roots_keeps_no_tables_above_the_limit(monkeypatch):
+    # x0 x1 + x1^2 over GF(256): kept, the 256 tables of 256 entries take
+    # about 4 MB; above the limit each prefix's table is dropped after use.
+    monkeypatch.setattr(quadforms, "_ROOT_TABLE_LIMIT", 0)
+    f = QuadraticForm(2, (0, 1, 1), field_from_q(256))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_roots(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
+    assert count == 2 * 256 - 1  # x1 = 0 or x1 = x0
 
 
 def test_iter_roots_is_lazy():
