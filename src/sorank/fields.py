@@ -1,17 +1,17 @@
-"""Arithmetic in GF(p^e) and in extensions GF(q^m).
+"""Arithmetic in GF(p) and in extensions GF(q^m).
 
-Elements are plain ints.  An element of GF(p^e) packs its polynomial-basis
-coefficients base p into one integer; an element of GF(q^m) packs its
-GF(q)-coefficients base q.  Multiplication goes through log/antilog tables
-built once per field (a primitive element is found at construction), so a
-product is two table lookups.  Addition is XOR in characteristic 2, mod p
-in prime fields, and in other odd fields a Zech logarithm table read off
-the log/antilog tables.  Every table is linear in the order, and so is the
-work of building it.  Irreducible moduli are chosen deterministically
-(least packed encoding among monic irreducibles) so element encodings are
-reproducible across runs and platforms.
+Elements are plain ints.  ``Field(p)`` is GF(p): the ints 0..p-1 mod p.
+Every other field is an ``ExtField`` GF(q^m) over a field GF(q), GF(p^e)
+being GF(p^e)/GF(p); an element packs its GF(q)-coefficients base q into one
+int.  An extension multiplies through log/antilog tables built once (a
+primitive element is found at construction), so a product is two table
+lookups, and adds by XOR in characteristic 2, otherwise through a Zech
+logarithm table read off the log/antilog tables.  Every table is linear in
+the order, and so is the work of building it.  Irreducible moduli are chosen
+deterministically (least packed encoding among monic irreducibles) so
+element encodings are reproducible across runs and platforms.
 
-The non-goal ceiling is q^m <= 2^20; table construction refuses anything
+The non-goal ceiling is q^m <= 2^20; construction refuses anything
 larger.
 """
 
@@ -50,8 +50,6 @@ def _poly_trim(a):
 
 
 def _poly_mul(a, b, S):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
@@ -108,25 +106,39 @@ def _undigits(ds, base):
     return x
 
 
-class _PrimeOps:
-    """Mod-p scalar arithmetic; the digit field underneath GF(p^e)."""
+class Field:
+    """GF(p) for a prime p, its elements the ints 0..p-1 under arithmetic mod p."""
 
     def __init__(self, p):
-        self.order = p
-        self.char = p
+        if p > _MAX_ORDER:  # checked first: trial division of a large p is slow
+            raise ParamError(f"field order {p} exceeds supported limit 2^20")
+        if _prime_factors(p) != [p]:
+            raise ParamError(f"characteristic {p} is not prime")
+        self.order = self.char = self.q = p
+        self.add = lambda a, b: (a + b) % p
+        self.sub = lambda a, b: (a - b) % p
+        self.neg = lambda a: -a % p
+        self.mul = lambda a, b: a * b % p
 
-    def add(self, a, b):
-        return (a + b) % self.order
+        def inv(a):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return pow(a, p - 2, p)
 
-    def sub(self, a, b):
-        return (a - b) % self.order
+        def power(a, k):
+            if a == 0 and k < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return pow(a, k, p)
 
-    def mul(self, a, b):
-        return (a * b) % self.order
+        self.inv = inv
+        self.pow = power
+
+    def __repr__(self):
+        return f"Field(GF({self.char}))"
 
 
 class _PackedField:
-    """Common machinery for GF(p^e) and GF(q^m): packed encoding + tables."""
+    """An extension of a scalar field: packed encoding + tables."""
 
     def __init__(self, scalar, deg):
         if deg < 1:
@@ -212,16 +224,12 @@ class _PackedField:
         self.inv = inv
         self.pow = power
 
-        # Addition: XOR in characteristic 2, mod p in prime fields, and
-        # otherwise Zech logarithms, 1 + g^d = g^zech[d]: then a + b is
-        # g^(log a + zech[log b - log a]) and -a is g^(log a + o1/2).
+        # Addition: XOR in characteristic 2, and otherwise Zech logarithms,
+        # 1 + g^d = g^zech[d]: then a + b is g^(log a + zech[log b - log a])
+        # and -a is g^(log a + o1/2).
         if self.char == 2:
             self.add = self.sub = lambda a, b: a ^ b
             self.neg = lambda a: a
-        elif order == self.char:
-            self.add = lambda a, b: (a + b) % order
-            self.sub = lambda a, b: (a - b) % order
-            self.neg = lambda a: (-a) % order
         else:
             s, half = self.scalar, o1 // 2
             # 1 + x changes only x's constant digit; 1 + g^half = 0 has no log.
@@ -243,30 +251,15 @@ class _PackedField:
         return _digits(x, self.scalar.order, self.deg)
 
 
-class Field(_PackedField):
-    """GF(p^e) for prime p, elements encoded as ints in [0, p^e)."""
-
-    def __init__(self, p, e=1):
-        if _prime_factors(p) != [p]:
-            raise ParamError(f"characteristic {p} is not prime")
-        super().__init__(_PrimeOps(p), e)
-        self.p = p
-        self.e = e
-        self.q = self.order
-
-    def __repr__(self):
-        return f"Field(GF({self.p}^{self.e}))" if self.e > 1 else f"Field(GF({self.p}))"
-
-
 class ExtField(_PackedField):
-    """GF(q^m) built on a base Field for GF(q).
+    """GF(q^m) built on a base field GF(q), a ``Field`` or another ``ExtField``.
 
     Elements encode their coefficients base q over the polynomial basis of
     the deterministic modulus, which (q, m) alone fixes.  Another basis may
     be attached for coordinate maps; the default is the polynomial basis.
     """
 
-    def __init__(self, base: Field, m, basis=None):
+    def __init__(self, base, m, basis=None):
         super().__init__(base, m)
         self.base = base
         self.m = m
@@ -362,8 +355,10 @@ def prime_power(q):
 
 @lru_cache(maxsize=None)
 def field_from_q(q):
-    """The field GF(q) with the deterministic modulus, q any prime power."""
-    return Field(*prime_power(q))
+    """The field GF(q), q any prime power: ``Field(q)`` for a prime, and
+    otherwise GF(p^e) over GF(p), the same object as ``ext_field(p, e)``."""
+    p, e = prime_power(q)
+    return Field(p) if e == 1 else ext_field(p, e)
 
 
 @lru_cache(maxsize=None)

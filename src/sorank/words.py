@@ -32,7 +32,7 @@ class MatrixWord:
     """
 
     entries: tuple
-    field: Field = dc_field(repr=False)
+    field: Field | ExtField = dc_field(repr=False)  # GF(q), as field_from_q(q) builds it
 
     def __post_init__(self):
         # Rows as tuples, so equal words hash alike; tuple() keeps a tuple row.
@@ -133,7 +133,7 @@ class LinearCode:
     word by it; over GF(2) it reads a cached packed column per entry."""
 
     rows: tuple
-    field: Field = dc_field(repr=False)  # GF(q)
+    field: Field | ExtField = dc_field(repr=False)  # GF(q), as field_from_q(q) builds it
     n: int
     m: int
     ext: ExtField | None = None
@@ -253,8 +253,10 @@ class LinearCode:
     @cached_property
     def _syndrome_columns(self):
         """Over GF(2), per flat coordinate j the column j of ``parity_check``
-        as an int, bit t for check row t."""
-        return tuple(sum(h[j] << t for t, h in enumerate(self.parity_check)) for j in range(self.n * self.m))
+        as an int, bit t for check row t; all zero for the full space, which
+        has no check rows."""
+        bit = [1 << t for t in range(len(self.parity_check))]
+        return tuple(sum(itertools.compress(bit, col)) for col in zip(*self.parity_check)) or (0,) * (self.n * self.m)
 
     def syndrome(self, rows):
         """The syndrome of checked n x m rows over GF(q) (``matrix_rows``

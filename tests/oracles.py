@@ -7,6 +7,8 @@ be checked against it.
 """
 
 import itertools
+import operator
+from collections import Counter
 from fractions import Fraction
 
 from sorank import linalg
@@ -97,6 +99,37 @@ def rank_distribution(code):
     return counts
 
 
+def ball_overlaps(field, n, m, r):
+    """[p_0, ..., p_min(n, m)]: p_i = |B_R(0, r) cap B_R(c, r)| for an n x m
+    matrix c of rank i (it depends on the rank alone), counted over the
+    words e of B_R(0, r) with rank(c - e) <= r for c = the first i unit
+    diagonal entries."""
+    words = list(ball_words(field, n, m, r))
+    out = []
+    for i in range(min(n, m) + 1):
+        c = [[int(a == b < i) for b in range(m)] for a in range(n)]
+        out.append(sum(linalg.rank(field, [list(map(field.sub, cr, er)) for cr, er in zip(c, e)]) <= r for e in words))
+    return out
+
+
+def list_size_law(code, ball):
+    """The law of L(y) = |B_R(y, r) cap code| for a uniform n x m center y
+    over a prime field GF(p), as {L: Fraction}, given the words of B_R(0, r)
+    as ``ball_words`` lists them.  y - e is a codeword exactly when e has
+    y's syndrome, so L(y) is the number of ball words with that syndrome,
+    and the syndrome of a uniform y is uniform over the p^(rows of
+    ``parity_check``) syndromes.  Syndromes are int dot products mod p."""
+    p, H = code.q, code.parity_check
+    if code.field.char != p:
+        raise ParamError(f"list_size_law needs a prime field, not GF({p})")
+    flats = [tuple(itertools.chain.from_iterable(e)) for e in ball]
+    hist = Counter(tuple([sum(map(operator.mul, h, x)) % p for h in H]) for x in flats)
+    syndromes = p ** len(H)
+    law = {L: Fraction(count, syndromes) for L, count in Counter(hist.values()).items()}
+    law[0] = Fraction(syndromes - len(hist), syndromes)
+    return law
+
+
 def trace_inner_product(X: MatrixWord, Y: MatrixWord):
     """Tr(X Y^T) = sum of entrywise products, an element of GF(q)."""
     if (X.n, X.m) != (Y.n, Y.m):
@@ -148,6 +181,24 @@ def digitwise_add(p, a, b, sign=1):
         out += (a % p + sign * (b % p)) % p * place
         a, b, place = a // p, b // p, place * p
     return out
+
+
+def schoolbook_mul(p, modulus, a, b):
+    """a * b in GF(p^e) = GF(p)[x] / modulus (monic, coefficients low degree
+    first) with the packed encoding: the product of the base-p digit
+    polynomials of a and b, coefficient by coefficient, then reduced by
+    long division, all in int arithmetic mod p."""
+    e = len(modulus) - 1
+    da, db = ([x // p**i % p for i in range(e)] for x in (a, b))
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(da):
+        for j, bj in enumerate(db):
+            prod[i + j] += ai * bj
+    for d in range(2 * e - 2, e - 1, -1):  # cancel x^d by prod[d] x^(d-e) * modulus
+        lead = prod[d] % p
+        for i in range(e + 1):
+            prod[d - e + i] -= lead * modulus[i]
+    return sum(c % p * p**i for i, c in enumerate(prod[:e]))
 
 
 def frobenius_trace(ext, x):

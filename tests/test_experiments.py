@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import pathlib
 import random
 import statistics
@@ -9,7 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ball_words, code_star_law, rank_distribution, solve_in_span, translate, vec_to_mat, zero_word
+from oracles import (
+    ball_overlaps,
+    ball_words,
+    code_star_law,
+    list_size_law,
+    rank_distribution,
+    so_code_law,
+    solve_in_span,
+    translate,
+    vec_to_mat,
+    zero_word,
+)
 from sorank import experiments, linalg
 from sorank.balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, gaussian_binomial, iter_rref
 from sorank.construct import max_so_dimension, so_code, uniform_linear_code
@@ -641,7 +653,11 @@ def test_experiment_streams_pinned(repr_, ensemble):
 # First moment of the random-center list size: each word of a linear code C
 # lies within rank distance r of |B_R(0, r)| of the q^(nm) centers, so
 # E_y[L] = |C| |B_R(0, r)| / q^(nm) whatever the code.  Sample means are held
-# to it at a z bound with the sample SD.
+# to it at a z bound with the sample SD.  Second moment: L^2 counts the pairs
+# of codewords near y, and a pair (c, c') is near |B_R(c, r) cap B_R(c', r)|
+# centers, p_i for rank(c - c') = i, so E_y[L^2] = |C| / q^(nm) sum_i A_i p_i
+# for C's rank distribution A.  L is heavy-tailed in the vector configs, so
+# mean squares are held to the exact moments of the codes' own laws of L.
 MEAN_Z_BOUND = 4
 GOLDEN_CSV = pathlib.Path(__file__).parent / "golden" / "maxlist_q2n2m4_seed42.csv"
 MEAN_CONFIGS = {
@@ -669,13 +685,52 @@ def test_golden_csv_mean_matches_first_moment():
     assert abs(mean_z(list_sizes, exact)) <= MEAN_Z_BOUND
 
 
+def moments(law):
+    """E[L^2] and E[L^4] of a law {L: probability}."""
+    return sum(p * L**2 for L, p in law.items()), sum(p * L**4 for L, p in law.items())
+
+
+def test_golden_csv_mean_square_matches_second_moment():
+    # The golden run draws each trial's code from so_code_law(GF(2), 8, 2).
+    list_sizes = [int(ln.split(",")[1]) for ln in GOLDEN_CSV.read_text().splitlines()[1:] if not ln.startswith("#")]
+    p = ball_overlaps(F2, 2, 4, 1)
+    ball = list(ball_words(F2, 2, 4, 1))
+    second = fourth = 0
+    for rows, weight in so_code_law(F2, 8, 2).items():
+        code = LinearCode(rows, F2, 2, 4)
+        m2, m4 = moments(list_size_law(code, ball))
+        assert m2 == Fraction(4, 256) * sum(map(operator.mul, rank_distribution(code), p))
+        second, fourth = second + weight * m2, fourth + weight * m4
+    assert p == [46, 18, 6] and second == Fraction(213697, 188976)
+    z = (statistics.fmean(L * L for L in list_sizes) - second) / math.sqrt((fourth - second**2) / len(list_sizes))
+    assert abs(z) <= MEAN_Z_BOUND
+
+
 @pytest.mark.parametrize("ensemble", ["self-orthogonal", "code-star", "uniform-linear"])
 @pytest.mark.parametrize("repr_, q", MEAN_CONFIGS, ids=[f"{r}-q{q}" for r, q in MEAN_CONFIGS])
-def test_experiment_mean_matches_first_moment(repr_, q, ensemble):
+def test_experiment_mean_matches_first_moment(repr_, q, ensemble, monkeypatch):
     cfg = ExperimentConfig(**MEAN_CONFIGS[repr_, q], trials=400, seed=1, repr=repr_, ensemble=ensemble)
     assert cfg.dimension() >= 1
+    codes = []
+
+    def spy(code, center, r):
+        codes.append(code)
+        return list_size_at(code, center, r)
+
+    monkeypatch.setattr(experiments, "list_size_at", spy)
     rep = max_list_size_experiment(cfg)
     assert abs(mean_z(rep.list_sizes, exact_mean_list_size(cfg))) <= MEAN_Z_BOUND
+    # Given the trials' codes, the sum of L^2 has the sum of their exact
+    # means and variances.
+    ball = list(ball_words(codes[0].field, cfg.n, cfg.m, rep.radius))
+    laws = {}
+    second = variance = 0
+    for code in codes:
+        if code.rows not in laws:
+            laws[code.rows] = moments(list_size_law(code, ball))
+        m2, m4 = laws[code.rows]
+        second, variance = second + m2, variance + m4 - m2 * m2
+    assert abs((sum(L * L for L in rep.list_sizes) - second) / math.sqrt(variance)) <= MEAN_Z_BOUND
 
 
 @pytest.mark.parametrize("ensemble", ["self-orthogonal", "code-star", "uniform-linear"])

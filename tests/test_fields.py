@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import digitwise_add, frobenius_trace, from_coords
+from oracles import digitwise_add, frobenius_trace, from_coords, schoolbook_mul
 from sorank import linalg
 from sorank.errors import ParamError
 from sorank.fields import (
@@ -34,6 +34,38 @@ def test_invalid_parameters_rejected():
     assert F.order == 257 and F.mul(256, 256) == 1 and F.mul(3, F.inv(3)) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+def test_prime_field_is_int_arithmetic_mod_p(p):
+    F = Field(p)
+    assert (F.order, F.char, F.q) == (p, p, p)
+    for a in range(p):
+        assert [F.add(a, b) for b in range(p)] == [(a + b) % p for b in range(p)]
+        assert [F.sub(a, b) for b in range(p)] == [(a - b) % p for b in range(p)]
+        assert [F.mul(a, b) for b in range(p)] == [a * b % p for b in range(p)]
+        assert F.neg(a) == -a % p
+        if a:
+            assert F.inv(a) * a % p == 1
+        for k in range(-3, 6):
+            if a or k >= 0:
+                assert F.pow(a, k) == (a**k % p if k >= 0 else F.inv(a) ** -k % p)
+    assert F.pow(0, 0) == 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_field_from_q_of_a_prime_power_is_the_extension(p, e):
+    assert field_from_q(p**e) is ext_field(p, e)
+    assert field_from_q(p) is ext_field(p, e).base
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_extension_mul_matches_schoolbook_product(q):
+    # A reference without tables pins the packed encoding of GF(p^e)/GF(p).
+    F = field_from_q(q)
+    assert F.pow(0, 0) == 1
+    for a in range(q):
+        assert [F.mul(a, b) for b in range(q)] == [schoolbook_mul(F.char, F.modulus, a, b) for b in range(q)]
+
+
 def test_trace_examples():
     E = ext_field(2, 2)
     w = 2  # the primitive element with w^2 = w + 1
@@ -58,14 +90,19 @@ def test_field_axioms_random(q, m):
         assert E.add(a, E.neg(a)) == 0
 
 
-# Odd fields outside the prime fields, which add through Zech logarithms:
-# (q, m) builds GF(q^m) over GF(q), towers included, from 9 to 729 elements.
-ZECH_FIELDS = [(9, 1), (3, 2), (27, 1), (3, 3), (81, 1), (9, 2), (125, 1), (5, 3), (343, 1), (3, 6)]
+# Odd extension fields, which add through Zech logarithms: (q, m) is
+# ext_field(q, m), GF(q^m) over GF(q), towers included, from 3 to 729
+# elements.  (q, 1) is GF(q) over itself: for a prime q it adds through Zech
+# where Field(q) adds mod p, and for q = p^e its Zech table is read off
+# GF(q)'s own, whose every entry its sums reach.
+ZECH_FIELDS = [
+    (3, 1), (5, 1), (7, 1), (9, 1), (3, 2), (27, 1), (3, 3), (81, 1), (9, 2), (125, 1), (5, 3), (343, 1), (3, 6)
+]
 
 
 @pytest.mark.parametrize("q,m", ZECH_FIELDS)
 def test_zech_addition_matches_digitwise_on_every_pair(q, m):
-    F = field_from_q(q) if m == 1 else ext_field(q, m)
+    F = ext_field(q, m)
     p, o = F.char, F.order
     assert [F.neg(a) for a in range(o)] == [digitwise_add(p, 0, a, -1) for a in range(o)]
     for a in range(o):  # b = 0 and b = -a included
@@ -187,10 +224,13 @@ def test_singular_basis_rejected():
 # Each argument check with the error class it raises.
 BAD_ARGUMENTS = {
     "non-prime-characteristic": (lambda: Field(4), ParamError),
-    "degree-zero": (lambda: Field(2, 0), ParamError),
-    "order-over-2^20": (lambda: Field(2, 21), ParamError),
+    "degree-zero": (lambda: ExtField(Field(2), 0), ParamError),
+    "order-over-2^20": (lambda: ExtField(Field(2), 21), ParamError),
+    "prime-over-2^20": (lambda: Field(1048583), ParamError),  # the least prime above 2^20
     "inverse-of-zero": (lambda: field_from_q(4).inv(0), ZeroDivisionError),
     "zero-to-a-negative-power": (lambda: field_from_q(4).pow(0, -1), ZeroDivisionError),
+    "prime-field-inverse-of-zero": (lambda: Field(5).inv(0), ZeroDivisionError),
+    "prime-field-zero-to-a-negative-power": (lambda: Field(5).pow(0, -1), ZeroDivisionError),
     "q-not-a-prime-power": (lambda: field_from_q(6), ParamError),
 }
 

@@ -19,6 +19,21 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in sorank: {found}"
 
 
+def test_fields_are_built_only_by_the_fields_module():
+    # One object per field: the rest of the package takes its fields from
+    # the cached field_from_q and ext_field, never from the constructors.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "fields.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        in ("Field", "ExtField")
+    ]
+    assert not found, f"fields built outside sorank.fields: {found}"
+
+
 # Public names nothing in the package refers to, kept on purpose: the
 # research API (rank distance and a code's words among it), and
 # ExtField.is_self_dual_basis, with which callers check a basis that

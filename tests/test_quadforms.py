@@ -8,7 +8,7 @@ import pytest
 from oracles import from_full_matrix, iter_roots_brute, rank_of_form_two_matrices, transform
 from sorank import linalg, quadforms
 from sorank.errors import ParamError, SizeError
-from sorank.fields import ext_field, field_from_q
+from sorank.fields import ExtField, ext_field, field_from_q, prime_power
 from sorank.quadforms import (
     QuadraticForm,
     count_roots_brute,
@@ -23,6 +23,23 @@ from sorank.quadforms import (
 F2 = field_from_q(2)
 F3 = field_from_q(3)
 F5 = field_from_q(5)
+
+
+def _field_params(fields, Ns=None):
+    """A param per field, or per field and N in Ns.  An int q stands for
+    field_from_q(q), labelled Field(GF(p^e)) (Field(GF(p)) for a prime);
+    any other field is labelled by its repr."""
+    params = []
+    for field in fields:
+        label = repr(field)
+        if isinstance(field, int):
+            p, e = prime_power(field)
+            field, label = field_from_q(field), f"Field(GF({p}^{e}))" if e > 1 else f"Field(GF({p}))"
+        if Ns is None:
+            params.append(pytest.param(field, id=label))
+        else:
+            params += [pytest.param(field, N, id=f"{label}-{N}") for N in Ns]
+    return params
 
 
 def _random_form(field, N, rng):
@@ -114,7 +131,7 @@ def test_count_roots_formula_examples():
     assert count_roots_formula(QuadraticForm(2, (0, 0, 0), F3)) == (9,)
 
 
-@pytest.mark.parametrize("field", [F2, F3, F5, field_from_q(4)], ids=lambda f: repr(f))
+@pytest.mark.parametrize("field", _field_params((2, 3, 5, 4)))
 def test_formula_matches_brute_force(field, trials=60):
     rng = random.Random(field.order)
     for _ in range(trials):
@@ -178,14 +195,18 @@ def _forms_for_root_listing(field, N, rng):
             yield QuadraticForm(N, tuple(c), field)
 
 
+# field_from_q(8) is ext_field(2, 3) and field_from_q(16) is ext_field(2, 4),
+# so the ExtField rows of those orders attach a non-polynomial basis, which
+# must leave the roots and their order as they are.  GF(p) over itself adds
+# through Zech logarithms where Field(p) adds mod p.
 ROOT_LISTING_GRID = (
-    [(field_from_q(q), N) for q in (2, 3, 4, 5) for N in range(1, 6)]
-    + [(field, N) for field in (field_from_q(8), ext_field(2, 3), field_from_q(9)) for N in range(1, 5)]
-    + [(field, N) for field in (field_from_q(16), ext_field(2, 4)) for N in range(1, 4)]
+    _field_params((2, 3, 4, 5, ext_field(3, 1)), range(1, 6))
+    + _field_params((8, ExtField(field_from_q(2), 3, basis=(1, 2, 6)), 9, ext_field(5, 1)), range(1, 5))
+    + _field_params((16, ExtField(field_from_q(2), 4, basis=(1, 2, 6, 8)), ext_field(7, 1)), range(1, 4))
 )
 
 
-@pytest.mark.parametrize("field,N", ROOT_LISTING_GRID, ids=lambda v: repr(v))
+@pytest.mark.parametrize("field,N", ROOT_LISTING_GRID)
 def test_iter_roots_matches_full_scan(field, N):
     # Both listers, the characteristic-2 hyperplane and the last-coordinate
     # solve, must list the roots in the order of the scan that evaluates
