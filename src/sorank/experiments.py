@@ -15,6 +15,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import reduce
 from operator import countOf, xor
 
 from . import linalg
@@ -22,7 +23,7 @@ from .balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, sample_from_ball
 from .construct import max_so_dimension, sample_code_star, so_code, uniform_linear_code
 from .errors import ParamError, SizeError
 from .fields import ext_field, field_from_q
-from .words import LinearCode, MatrixWord, is_self_orthogonal, word_rank
+from .words import LinearCode, is_self_orthogonal
 
 ENSEMBLES = ("self-orthogonal", "code-star", "uniform-linear")
 _Z = 1.96  # the normal quantile of every reported (two-sided 95%) Wilson interval
@@ -93,9 +94,7 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     code scan counts the GF(q) combinations c of ``gfq_rows`` with
     rank(center + c) <= r (C = -C), the ball scan the words e of
     B_R(0, r) with the center's syndrome, as center - e is then a codeword."""
-    if isinstance(center, MatrixWord) != (code.repr == "matrix"):
-        raise ParamError("mixed representations")
-    rows = code.matrix_rows(center)  # also rejects a center over another field
+    rows = code.matrix_rows(center)  # either picture, as ``contains`` reads a word
     code_size = code.lin_field().order ** code.k
     bsize = ball_size_exact(code.n, code.m, code.q, r)  # also rejects r outside 0..n
     if min(code_size, bsize) > ENUM_LIMIT:
@@ -103,31 +102,37 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     if code_size <= bsize:
         start = [v for row in rows for v in row]
         return _count_low_rank(code.field, code.gfq_rows, start, code.n, code.m, r)
-    s = code.syndrome(rows)
     blocks = enumerate_ball(code.field, code.n, code.m, r)
-    return (_count_gf2_matches if code.q == 2 else _count_matches)(code, blocks, s)
+    return (_count_gf2_matches if code.q == 2 else _count_matches)(code, blocks, rows)
 
 
-def _count_matches(code, blocks, s):
-    """The words A * B of ``enumerate_ball`` blocks with syndrome s, counted
-    word by word.  Row o of A * B is (row o of A) * B: the o-th tuple of
-    ``zip(*A)`` looked up in the block's table from each coefficient tuple v
-    to v * B.  The rank-0 block's one word has no rows here: its syndrome is zero."""
+def _count_matches(code, blocks, rows):
+    """The words A * B of ``enumerate_ball`` blocks with the syndrome of the
+    center's ``rows``, counted word by word.  Row o of A * B is (row o of A)
+    * B: the o-th tuple of ``zip(*A)`` looked up in the block's table from
+    each coefficient tuple v to v * B.  The rank-0 block's one word has no
+    rows here: its syndrome is zero."""
     F, q, zero = code.field, code.q, [0] * code.m
-    count = 0
+    s, count = code.syndrome(rows), 0
     for B, factors in blocks:
         row = {v: tuple(linalg.combine(F, v, B, zero)) for v in itertools.product(range(q), repeat=len(B))}.__getitem__
         count += sum(code.syndrome(map(row, zip(*A))) == s for A in factors)
     return count
 
 
-def _count_gf2_matches(code, blocks, s):
-    """The same count over GF(2), building no word.  P[o][x] is the syndrome
-    of the row mask x (bit j for column j) alone in row o.  Row t of B gives
-    U_t[a], the XOR of P[o][B_t] over the set bits o of the column mask a,
-    and A * B has the syndrome XOR_t U_t[a_t]: one lookup per word at rank 1."""
-    n, m, cols = code.n, code.m, code._syndrome_columns
-    bit = [1 << j for j in range(max(n, m))]  # the mask of v is sum(compress(bit, v))
+def _count_gf2_matches(code, blocks, rows):
+    """The same count over GF(2), building no word.  A syndrome packs into
+    an int, bit t for check row t: cols[j] is column j of ``parity_check``,
+    and a word's syndrome is the XOR of cols at its nonzero entries.  P[o][x]
+    is the syndrome of the row mask x (bit j for column j) alone in row o.
+    Row t of B gives U_t[a], the XOR of P[o][B_t] over the set bits o of the
+    column mask a, and A * B has the syndrome XOR_t U_t[a_t]: one lookup per
+    word at rank 1."""
+    n, m = code.n, code.m
+    bit = [1 << j for j in range(n * m)]  # the mask of v is sum(compress(bit, v))
+    # All zero for the full space, which has no check rows.
+    cols = [sum(itertools.compress(bit, col)) for col in zip(*code.parity_check)] or [0] * (n * m)
+    s = reduce(xor, itertools.compress(cols, itertools.chain.from_iterable(rows)), 0)
     count, P, factors_seen = 0, None, None
     for B, factors in blocks:
         if B and P is None:  # not for the rank-0 block: r = 0 builds no 2^m table
@@ -258,7 +263,7 @@ def max_list_size_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         code = _draw_code(cfg, k, rng)
         center = code.word([rng.randrange(code.lin_field().order) for _ in range(code.width)])
         list_sizes.append(list_size_at(code, center, r))
-        center_ranks.append(word_rank(center))
+        center_ranks.append(linalg.rank(code.field, code.matrix_rows(center)))
         code_seeds.append(cs)
     return ExperimentReport(cfg, k, r, list_sizes, center_ranks, code_seeds, time.monotonic() - t0)
 

@@ -138,36 +138,37 @@ class Field:
 
 
 class _PackedField:
-    """An extension of a scalar field: packed encoding + tables."""
+    """GF(q^m) over a base field GF(q): packed encoding + tables."""
 
-    def __init__(self, scalar, deg):
-        if deg < 1:
+    def __init__(self, base, m):
+        if m < 1:
             raise ParamError("extension degree must be >= 1")
-        order = scalar.order**deg
+        order = base.order**m
         if order > _MAX_ORDER:
             raise ParamError(f"field order {order} exceeds supported limit 2^20")
-        self.scalar = scalar
-        self.deg = deg
+        self.base = base
+        self.m = m
+        self.q = base.order
         self.order = order
-        self.char = scalar.char
-        self.modulus = tuple(self._least_irreducible(scalar, deg))
+        self.char = base.char
+        self.modulus = tuple(self._least_irreducible(base, m))
         self._build_tables()
 
     @staticmethod
-    def _least_irreducible(scalar, deg):
-        s = scalar.order
-        for t in range(s**deg):
-            cand = _digits(t, s, deg) + [1]
-            if _poly_is_irreducible(cand, scalar):
+    def _least_irreducible(base, m):
+        q = base.order
+        for t in range(q**m):
+            cand = _digits(t, q, m) + [1]
+            if _poly_is_irreducible(cand, base):
                 return cand
         raise ParamError("no irreducible modulus found")  # pragma: no cover
 
     # slow-path arithmetic used only while building the tables
     def _raw_mul(self, a, b):
-        s = self.scalar
-        pa = _digits(a, s.order, self.deg)
-        pb = _digits(b, s.order, self.deg)
-        return _undigits(_poly_rem(_poly_mul(pa, pb, s), list(self.modulus), s), s.order)
+        B, q = self.base, self.q
+        pa = _digits(a, q, self.m)
+        pb = _digits(b, q, self.m)
+        return _undigits(_poly_rem(_poly_mul(pa, pb, B), list(self.modulus), B), q)
 
     def _raw_pow(self, a, k):
         r = 1
@@ -231,9 +232,9 @@ class _PackedField:
             self.add = self.sub = lambda a, b: a ^ b
             self.neg = lambda a: a
         else:
-            s, half = self.scalar, o1 // 2
+            B, q, half = self.base, self.q, o1 // 2
             # 1 + x changes only x's constant digit; 1 + g^half = 0 has no log.
-            zech = [log[x - x % s.order + s.add(x % s.order, 1)] for x in exp[:o1]]
+            zech = [log[x - x % q + B.add(x % q, 1)] for x in exp[:o1]]
             zech[half] = None
 
             def add(a, b):
@@ -248,7 +249,7 @@ class _PackedField:
             self.sub = lambda a, b: add(a, exp[log[b] + half]) if b else a
 
     def to_digits(self, x):
-        return _digits(x, self.scalar.order, self.deg)
+        return _digits(x, self.q, self.m)
 
 
 class ExtField(_PackedField):
@@ -261,9 +262,6 @@ class ExtField(_PackedField):
 
     def __init__(self, base, m, basis=None):
         super().__init__(base, m)
-        self.base = base
-        self.m = m
-        self.q = base.order
         poly = tuple(self.q**i for i in range(m))
         basis = poly if basis is None else tuple(basis)
         if len(basis) != m or any(not 0 <= b < self.order for b in basis):

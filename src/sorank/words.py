@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
-from operator import xor
+from functools import cached_property
 
 from . import linalg
 from .errors import FormatError, ParamError
@@ -84,19 +83,10 @@ class VectorWord:
         return len(self.coords)
 
 
-def word_rank(w):
-    """rank(w) over GF(q).  A vector word's coordinates give their
-    polynomial-basis digits: cheaper than an expansion over the attached
-    basis, and rank does not depend on the basis."""
-    if isinstance(w, MatrixWord):
-        return linalg.rank(w.field, w.entries)
-    ext = w.field
-    return linalg.rank(ext.base, [ext.to_digits(c) for c in w.coords])
-
-
 def rank_distance(X, Y):
     """rank(X - Y) over GF(q); also accepts vector words, subtracted over
-    GF(q^m) and their difference expanded once, as ``word_rank`` does."""
+    GF(q^m) and their difference expanded once into its polynomial-basis
+    digits: rank does not depend on the basis."""
     matrix = isinstance(X, MatrixWord)
     if matrix != isinstance(Y, MatrixWord):
         raise ParamError("mixed representations")
@@ -130,7 +120,7 @@ class LinearCode:
     the zero code.  Words are built on demand only: ``basis`` on first use.
     ``syndrome`` maps n x m rows over GF(q) to their syndrome against
     ``parity_check``, zero exactly on the code, and ``contains`` tests a
-    word by it; over GF(2) it reads a cached packed column per entry."""
+    word by it."""
 
     rows: tuple
     field: Field | ExtField = dc_field(repr=False)  # GF(q), as field_from_q(q) builds it
@@ -250,29 +240,16 @@ class LinearCode:
             raise ParamError("dimension mismatch")
         return rows
 
-    @cached_property
-    def _syndrome_columns(self):
-        """Over GF(2), per flat coordinate j the column j of ``parity_check``
-        as an int, bit t for check row t; all zero for the full space, which
-        has no check rows."""
-        bit = [1 << t for t in range(len(self.parity_check))]
-        return tuple(sum(itertools.compress(bit, col)) for col in zip(*self.parity_check)) or (0,) * (self.n * self.m)
-
     def syndrome(self, rows):
         """The syndrome of checked n x m rows over GF(q) (``matrix_rows``
-        checks them): equal for two words iff their difference is in the
-        code.  Over GF(2) the XOR of the packed columns at the word's nonzero
-        entries, an int; otherwise the tuple of ``parity_check`` dot products."""
-        if self.field.order == 2:  # not self.q: a property call per ball word
-            entries = itertools.chain.from_iterable(rows)
-            return reduce(xor, itertools.compress(self._syndrome_columns, entries), 0)
+        checks them), the tuple of ``parity_check`` dot products: equal for
+        two words iff their difference is in the code."""
         x = list(itertools.chain.from_iterable(rows))
         return tuple([linalg.dot(self.field, h, x) for h in self.parity_check])
 
     def contains(self, word):
         """Membership of a word in either representation: a zero syndrome."""
-        s = self.syndrome(self.matrix_rows(word))
-        return not (s if self.q == 2 else any(s))
+        return not any(self.syndrome(self.matrix_rows(word)))
 
 
 def dual(code: LinearCode) -> LinearCode:

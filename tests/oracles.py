@@ -15,7 +15,7 @@ from sorank import linalg
 from sorank.balls import enumerate_ball, gaussian_binomial
 from sorank.errors import ParamError
 from sorank.quadforms import QuadraticForm
-from sorank.words import MatrixWord, VectorWord, dual, word_rank
+from sorank.words import MatrixWord, VectorWord, dual
 
 
 def gb_recurrence_holds(n, k, q):
@@ -95,7 +95,7 @@ def rank_distribution(code):
     codeword (desk scale only)."""
     counts = [0] * (min(code.n, code.m) + 1)
     for w in code.iter_words():
-        counts[word_rank(w)] += 1
+        counts[linalg.rank(code.field, code.matrix_rows(w))] += 1
     return counts
 
 

@@ -6,6 +6,7 @@ import pathlib
 import random
 import statistics
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     ball_words,
     code_star_law,
     list_size_law,
+    mat_to_vec,
     rank_distribution,
     so_code_law,
     solve_in_span,
@@ -317,6 +319,23 @@ def test_self_orthogonal_rank_distribution_is_below_the_duals():
         assert all(a <= b for a, b in zip(A, B)), (code.n, code.m, code.q, code.rows)
 
 
+def test_rank_one_words_of_a_vector_code_come_from_its_subfield_subcode():
+    # A word of rank 1 is a * v for a nonzero a in GF(q^m) and a nonzero v in
+    # GF(q)^n, and v = a^-1 * (a * v) lies in the GF(q^m)-linear code C: in
+    # its subfield subcode C cap GF(q)^n, the words whose coordinates are all
+    # below q.  a * v = a' * v' exactly when v' = c v and a = c a' for a c in
+    # GF(q)*, so A_1 = (q^m - 1) / (q - 1) * (|C cap GF(q)^n| - 1).
+    codes = [code for code in _rank_distribution_codes() if code.repr == "vector"]
+    with_rank_one = 0
+    for code in codes:
+        q = code.q
+        subcode = sum(all(c < q for c in w.coords) for w in code.iter_words())
+        A1 = rank_distribution(code)[1]
+        assert A1 == (q**code.m - 1) // (q - 1) * (subcode - 1), (code.n, code.m, q, code.rows)
+        with_rank_one += A1 > 0
+    assert (len(codes), with_rank_one) == (163, 67)
+
+
 @pytest.mark.parametrize("bsize", [0, ENUM_LIMIT], ids=["ball-scan", "code-scan"])
 def test_rank_distribution_sums_are_list_sizes_at_zero(bsize, monkeypatch):
     """A_0 + ... + A_r is the list size at the zero word, at every radius
@@ -578,12 +597,39 @@ def test_list_size_rejects_a_center_that_does_not_fit():
         (gf2, MatrixWord(((1, 0), (1, 3)), field_from_q(4))),
         (gf4, VectorWord((1, 2), ext_field(3, 2))),
         (gf4, VectorWord((1, 2), ext_field(4, 2))),
-        (gf4, MatrixWord(((1, 0), (0, 1)), F2)),  # a matrix center for a vector code
     ]
     for code, center in cases:
         for r in range(3):
             with pytest.raises(ParamError):
                 list_size_at(code, center, r)
+
+
+def test_list_size_reads_a_center_in_either_picture():
+    # A center in the other picture is read as ``contains`` reads a word: a
+    # matrix center of a vector code over the code's attached basis, a vector
+    # center of a matrix code over the word's own basis.  Both routes are
+    # taken at r = 0..2 (each case's ball radii).
+    rng = random.Random(67)
+    pairs = [(_random_code(*case[:-1], rng), None) for case in VECTOR_CASES.values()]
+    for name, exts in {
+        "GF2-2x3-k5": (ext_field(2, 3), E8_NONPOLY),
+        "GF3-2x3-k5": (ext_field(3, 3),),
+        "GF4-2x3-k5": (ext_field(4, 3),),
+        "GF2-2x2-k0": (ext_field(2, 2),),
+    }.items():
+        code = _random_code(*MATRIX_CASES[name][:-1], rng)
+        pairs += [(code, ext) for ext in exts]
+    for code, ext in pairs:
+        for _ in range(4):
+            if ext is None:
+                rows = [[rng.randrange(code.q) for _ in range(code.m)] for _ in range(code.n)]
+                center = MatrixWord(rows, code.field)
+                same = mat_to_vec(center, code.ext)
+            else:
+                center = VectorWord(tuple(rng.randrange(ext.order) for _ in range(code.n)), ext)
+                same = vec_to_mat(center)
+            for r in range(3):
+                assert list_size_at(code, center, r) == list_size_at(code, same, r), (code.rows, center, r)
 
 
 def test_experiment_config_validation():
@@ -692,18 +738,30 @@ def moments(law):
 
 def test_golden_csv_mean_square_matches_second_moment():
     # The golden run draws each trial's code from so_code_law(GF(2), 8, 2).
+    # The same pass mixes the codes' laws of L into the ensemble's exact law,
+    # P[L = l] = sum_C P(C) P[L = l | C], and the CSV's counts of L fit it.
+    from scipy import stats
+
     list_sizes = [int(ln.split(",")[1]) for ln in GOLDEN_CSV.read_text().splitlines()[1:] if not ln.startswith("#")]
     p = ball_overlaps(F2, 2, 4, 1)
     ball = list(ball_words(F2, 2, 4, 1))
     second = fourth = 0
+    law = Counter()
     for rows, weight in so_code_law(F2, 8, 2).items():
         code = LinearCode(rows, F2, 2, 4)
-        m2, m4 = moments(list_size_law(code, ball))
+        code_law = list_size_law(code, ball)
+        m2, m4 = moments(code_law)
         assert m2 == Fraction(4, 256) * sum(map(operator.mul, rank_distribution(code), p))
         second, fourth = second + weight * m2, fourth + weight * m4
+        law.update({L: weight * prob for L, prob in code_law.items()})
     assert p == [46, 18, 6] and second == Fraction(213697, 188976)
     z = (statistics.fmean(L * L for L in list_sizes) - second) / math.sqrt((fourth - second**2) / len(list_sizes))
     assert abs(z) <= MEAN_Z_BOUND
+    counts = Counter(list_sizes)
+    assert sum(law.values()) == 1 and set(counts) <= set(law)
+    support = sorted(law)
+    expected = [float(len(list_sizes) * law[L]) for L in support]
+    assert stats.chisquare([counts[L] for L in support], expected).pvalue >= 0.01
 
 
 @pytest.mark.parametrize("ensemble", ["self-orthogonal", "code-star", "uniform-linear"])
@@ -834,20 +892,42 @@ ANISOTROPIC_CASES = {
 }
 
 
+# The same cases' exact containment probability of an isotropic word
+# (w != 0, <w, w> = 0): about twice the anisotropic one at k = 2, and equal
+# to it at k = 1, where S = 0.  lemma48_bound(q, n, m, k, 1) is 4, 1, 1/3
+# and 9 here, vacuous for both.
+ISOTROPIC_CONTAINMENT = {
+    (2, 2, 3, 2): Fraction(61, 961),
+    (2, 2, 4, 2): Fraction(253, 16129),
+    (3, 2, 2, 1): Fraction(1, 40),
+    (3, 2, 3, 2): Fraction(29, 1694),
+}
+
+
 @pytest.mark.parametrize("q, n, m, k, p", ANISOTROPIC_CASES.values(), ids=ANISOTROPIC_CASES.keys())
 def test_anisotropic_containment_is_exact_under_the_code_star_law(q, n, m, k, p):
     # Lemma 48's event for one word, summed over the exact law of the code
-    # spans sample_code_star draws, for three words w with <w, w> != 0.
+    # spans sample_code_star draws, for three words w with <w, w> != 0, and
+    # for three isotropic words, pinned in ISOTROPIC_CONTAINMENT.
     F, D = field_from_q(q), n * m
     law = code_star_law(F, D, k)
+
+    def containment(w):
+        return sum(prob for key, prob in law.items() if solve_in_span(F, key, w) is not None)
+
     rng = random.Random(59)
     words = [(1,) + (0,) * (D - 1)]
     while len(words) < 3:
         w = tuple(rng.randrange(q) for _ in range(D))
         words += [w] if linalg.dot(F, w, w) else []
     for w in words:
-        hit = sum(prob for key, prob in law.items() if solve_in_span(F, key, w) is not None)
-        assert hit == _anisotropic_containment(q, n, m, k) == p, w
+        assert containment(w) == _anisotropic_containment(q, n, m, k) == p, w
+    rng, isotropic = random.Random(61), []
+    while len(isotropic) < 3:
+        w = tuple(rng.randrange(q) for _ in range(D))
+        isotropic += [w] if any(w) and not linalg.dot(F, w, w) else []
+    for w in isotropic:
+        assert containment(w) == ISOTROPIC_CONTAINMENT[q, n, m, k], w
 
 
 def test_lemma48_bound_and_estimate():

@@ -172,3 +172,26 @@ def test_modules_import_only_lower_layers():
                 continue
             found += [f"{path.name}:{node.lineno} imports {t}" for t in targets if t not in LAYERS[:layer]]
     assert not found, f"imports of a module at or above the importer's layer: {found}"
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    # A private attribute belongs to the module that defines it: a def or
+    # class, an attribute stored on an object, or a name given as a string
+    # (``object.__setattr__(self, "_terms", ...)``).  A module reading
+    # ``x._name`` that it does not define reaches into another's internals.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined, reads = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                defined.add(node.value)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    reads.append(node)
+        found += [f"{path.name}:{node.lineno} reads {node.attr}" for node in reads if node.attr not in defined]
+    assert not found, f"private attributes read outside the module that defines them: {found}"
