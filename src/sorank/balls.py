@@ -1,15 +1,14 @@
-"""Rank-metric balls: exact sizes, Gaussian binomials, enumeration, sampling.
+"""Rank-metric balls: exact sizes, Gaussian binomials, subspace terms, sampling.
 
 A ball is B_R(0, r) in the n x m matrices over GF(q), of any shape: a
 linear code's list size at y counts its words e with He = Hy.  All counts
 use exact integer arithmetic (they overflow 64 bits quickly); floats appear
-only in the log-domain upper bound.  Enumeration and uniform sampling both
-go through the factorization X = A * B of a rank-i matrix into a
-full-column-rank n x i factor A and the RREF basis B of its row space,
-which is a bijection onto the rank-i stratum; strata above min(n, m) are
-empty.  ``enumerate_ball`` yields factor blocks, each B with the list of
-every A of its rank, so a caller can work per block rather than per word;
-``sample_from_ball`` returns a word as a tuple of n row tuples.
+only in the log-domain upper bound.  ``enumerate_ball`` lists the ball as
+signed subspace terms, whose indicators sum to the ball's.
+``sample_from_ball`` draws through the factorization X = A * B of a rank-i
+matrix into a full-column-rank n x i factor A and the RREF basis B of its
+row space, a bijection onto the rank-i stratum, and returns a word as a
+tuple of n row tuples.
 """
 
 from __future__ import annotations
@@ -86,30 +85,31 @@ def iter_rref(field, i, m):
             yield _rref_rows(pivots, free, values, m)
 
 
-def iter_full_colrank(field, n, i):
-    """All n x i matrices of rank i, as tuples of i columns (each a tuple of
-    length n), in ``itertools.product`` order of the columns."""
-    columns = list(itertools.product(range(field.order), repeat=n))
-    for cols in itertools.product(columns, repeat=i):
-        if linalg.rank(field, cols) == i:
-            yield cols
-
-
 def enumerate_ball(field, n, m, radius):
-    """Yield the n x m matrices over ``field`` of rank <= radius as factor
-    blocks (B, factors): one per RREF matrix B of rank i <= min(radius, m),
-    in ``iter_rref`` order, with B's i rows and the list of every
-    full-column-rank n x i factor A (``iter_full_colrank``), one list shared
-    by all blocks of rank i.  The block's words are A * B for each A in
-    turn, row o being (row o of A) * B; flattening the blocks gives every
-    matrix of rank <= radius once."""
-    size = ball_size_exact(n, m, field.order, radius)
-    if size > ENUM_LIMIT:
-        raise SizeError(f"ball size {size} exceeds 2^22")
-    for i in range(min(radius, m) + 1):
-        factors = list(iter_full_colrank(field, n, i))
-        for rows in iter_rref(field, i, m):
-            yield rows, factors
+    """Yield the ball B_R(0, radius) in the n x m matrices over ``field`` as
+    terms (W, c_W), W a subspace of GF(q)^s, s = min(n, m), given by its RREF
+    rows in ``iter_rref`` order, of each dimension w <= r' = min(radius, s)
+    with c_w nonzero: rank X <= radius exactly when sum_W c_W [space(X) in W]
+    is 1, space(X) being X's column space (its row space when m < n).  By
+    Moebius inversion over the subspace lattice, mu(W, U) = (-1)^d q^(d(d-1)/2)
+    with d = dim U - dim W (Stanley, Enumerative Combinatorics I, 3.10),
+    c_w = sum_{d=0}^{r'-w} (-1)^d q^(d(d-1)/2) [s-w, d]_q; at r' = s only
+    W = GF(q)^s is left.  SizeError if more than ENUM_LIMIT W would be listed."""
+    if not 0 <= radius <= n:
+        raise ParamError(f"radius {radius} out of range 0..{n}")
+    q, s = field.order, min(n, m)
+    r = min(radius, s)
+    coeffs = [
+        sum((-1) ** d * q ** (d * (d - 1) // 2) * gaussian_binomial(s - w, d, q) for d in range(r - w + 1))
+        for w in range(r + 1)
+    ]
+    count = sum(gaussian_binomial(s, w, q) for w, c in enumerate(coeffs) if c)
+    if count > ENUM_LIMIT:
+        raise SizeError(f"{count} subspaces exceed 2^22")
+    for w, c in enumerate(coeffs):
+        if c:
+            for rows in iter_rref(field, w, s):
+                yield rows, c
 
 
 def _weighted_index(weights, rng):

@@ -15,8 +15,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import reduce
-from operator import countOf, xor
 
 from . import linalg
 from .balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, sample_from_ball
@@ -90,70 +88,44 @@ def _count_low_rank(F, rows, start, n, m, r):
 
 
 def list_size_at(code: LinearCode, center, r: int) -> int:
-    """|B_R(center, r) cap code|, by whichever enumeration is smaller: the
-    code scan counts the GF(q) combinations c of ``gfq_rows`` with
-    rank(center + c) <= r (C = -C), the ball scan the words e of
-    B_R(0, r) with the center's syndrome, as center - e is then a codeword."""
+    """|B_R(center, r) cap code|.  The code scan, when the code has at most
+    as many words as the ball and at most ENUM_LIMIT, counts the GF(q)
+    combinations c of ``gfq_rows`` with rank(center + c) <= r (C = -C).
+    Otherwise the lattice route sums c_W * f(W) over ``enumerate_ball``'s
+    terms, where f(W) counts the words X of center + C whose space lies in
+    W: the solutions of one linear system (see ``_lattice_checks``)."""
     rows = code.matrix_rows(center)  # either picture, as ``contains`` reads a word
-    code_size = code.lin_field().order ** code.k
-    bsize = ball_size_exact(code.n, code.m, code.q, r)  # also rejects r outside 0..n
-    if min(code_size, bsize) > ENUM_LIMIT:
-        raise SizeError("both the code and the ball are too large to enumerate")
-    if code_size <= bsize:
+    if code.lin_field().order ** code.k <= min(ball_size_exact(code.n, code.m, code.q, r), ENUM_LIMIT):
         start = [v for row in rows for v in row]
         return _count_low_rank(code.field, code.gfq_rows, start, code.n, code.m, r)
-    blocks = enumerate_ball(code.field, code.n, code.m, r)
-    return (_count_gf2_matches if code.q == 2 else _count_matches)(code, blocks, rows)
-
-
-def _count_matches(code, blocks, rows):
-    """The words A * B of ``enumerate_ball`` blocks with the syndrome of the
-    center's ``rows``, counted word by word.  Row o of A * B is (row o of A)
-    * B: the o-th tuple of ``zip(*A)`` looked up in the block's table from
-    each coefficient tuple v to v * B.  The rank-0 block's one word has no
-    rows here: its syndrome is zero."""
-    F, q, zero = code.field, code.q, [0] * code.m
-    s, count = code.syndrome(rows), 0
-    for B, factors in blocks:
-        row = {v: tuple(linalg.combine(F, v, B, zero)) for v in itertools.product(range(q), repeat=len(B))}.__getitem__
-        count += sum(code.syndrome(map(row, zip(*A))) == s for A in factors)
+    F, e, checks, s = _lattice_checks(code, rows)
+    count = 0
+    for W, c in enumerate_ball(code.field, code.n, code.m, r):
+        # [H_W | s]: each check row read on W (x) F^e, by each row w of W.
+        de = len(W) * e
+        M = [[x for w in W for x in linalg.combine(F, w, blocks)] + [v] for blocks, v in zip(checks, s)]
+        _, pivots = linalg.rref(F, M)
+        if de not in pivots:  # s lies in the column span of H_W
+            count += c * F.order ** (de - len(pivots))
     return count
 
 
-def _count_gf2_matches(code, blocks, rows):
-    """The same count over GF(2), building no word.  A syndrome packs into
-    an int, bit t for check row t: cols[j] is column j of ``parity_check``,
-    and a word's syndrome is the XOR of cols at its nonzero entries.  P[o][x]
-    is the syndrome of the row mask x (bit j for column j) alone in row o.
-    Row t of B gives U_t[a], the XOR of P[o][B_t] over the set bits o of the
-    column mask a, and A * B has the syndrome XOR_t U_t[a_t]: one lookup per
-    word at rank 1."""
+def _lattice_checks(code, rows):
+    """(F, e, checks, s): the code's check rows over F, each cut into
+    min(n, m) blocks of e entries, one per coordinate of the space, and the
+    center's syndrome s.  Column spaces when n <= m: a matrix code's
+    ``parity_check`` cut by rows of X (e = m), or a vector code's ``kernel``
+    over GF(q^m) (e = 1), as W (x) GF(q^m) is a GF(q^m)-subspace.  Row spaces
+    when m < n: ``parity_check`` cut by columns of X (e = n)."""
     n, m = code.n, code.m
-    bit = [1 << j for j in range(n * m)]  # the mask of v is sum(compress(bit, v))
-    # All zero for the full space, which has no check rows.
-    cols = [sum(itertools.compress(bit, col)) for col in zip(*code.parity_check)] or [0] * (n * m)
-    s = reduce(xor, itertools.compress(cols, itertools.chain.from_iterable(rows)), 0)
-    count, P, factors_seen = 0, None, None
-    for B, factors in blocks:
-        if B and P is None:  # not for the rank-0 block: r = 0 builds no 2^m table
-            P = [_subset_xors(cols[o * m : (o + 1) * m]) for o in range(n)]
-        if factors is not factors_seen:  # the column masks, once per rank
-            factors_seen, col_masks = factors, list(zip(*([sum(itertools.compress(bit, c)) for c in A] for A in factors)))
-        syndromes = itertools.repeat(0, len(factors))
-        for row, masks in zip(B, col_masks):
-            x = sum(itertools.compress(bit, row))
-            U = _subset_xors([table[x] for table in P])
-            syndromes = map(xor, syndromes, map(U.__getitem__, masks))
-        count += countOf(syndromes, s)
-    return count
-
-
-def _subset_xors(values):
-    """The XOR of each subset of ``values``, at the index of its bit mask."""
-    table = [0]
-    for v in values:
-        table += [x ^ v for x in table]
-    return table
+    if code.ext is not None and n <= m:
+        ext = code.ext
+        y = [linalg.dot(ext, row, ext.basis) for row in rows]  # the center over GF(q^m)
+        checks = [[h[o : o + 1] for o in range(n)] for h in code.kernel]
+        return ext, 1, checks, [linalg.dot(ext, h, y) for h in code.kernel]
+    if m < n:
+        return code.field, n, [[h[j::m] for j in range(m)] for h in code.parity_check], code.syndrome(rows)
+    return code.field, m, [[h[i * m : (i + 1) * m] for i in range(n)] for h in code.parity_check], code.syndrome(rows)
 
 
 # -- experiment configuration and report ------------------------------------

@@ -194,7 +194,7 @@ class LinearCode:
         return tuple(tuple(v for c in g for v in ext.coords(ext.mul(b, c))) for g in self.rows for b in ext.basis)
 
     @cached_property
-    def _kernel(self):
+    def kernel(self):
         """Rows spanning the dual over the linearity field; ``dual`` gives
         the code it returns the original code's rows here."""
         return tuple(map(tuple, linalg.nullspace(self.lin_field(), self.rows or [[0] * self.width])))
@@ -214,10 +214,10 @@ class LinearCode:
         GF(q^m) on n columns instead of one over GF(q) on nm columns.
         """
         if self.ext is None:
-            return self._kernel
+            return self.kernel
         ext = self.ext
         rows = []
-        for h in self._kernel:
+        for h in self.kernel:
             digits = [ext.to_digits(ext.mul(hi, b)) for hi in h for b in ext.basis]
             rows.extend(tuple(d[t] for d in digits) for t in range(self.m))
         return tuple(rows)
@@ -257,8 +257,8 @@ def dual(code: LinearCode) -> LinearCode:
     Tr(C X^T) = 0 for matrix codes, <g, x> = 0 over GF(q^m) for vector codes.
     Its kernel is the code's rows, as (C^perp)^perp = C, so its
     ``parity_check`` needs no elimination and ``dual(dual(C))`` has C's rows."""
-    d = LinearCode(code._kernel, code.field, code.n, code.m, code.ext)
-    d.__dict__["_kernel"] = code.rows  # the cached_property's slot
+    d = LinearCode(code.kernel, code.field, code.n, code.m, code.ext)
+    d.__dict__["kernel"] = code.rows  # the cached_property's slot
     return d
 
 

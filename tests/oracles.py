@@ -12,8 +12,8 @@ from collections import Counter
 from fractions import Fraction
 
 from sorank import linalg
-from sorank.balls import enumerate_ball, gaussian_binomial
-from sorank.errors import ParamError
+from sorank.balls import ENUM_LIMIT, ball_size_exact, gaussian_binomial, iter_rref
+from sorank.errors import ParamError, SizeError
 from sorank.quadforms import QuadraticForm
 from sorank.words import MatrixWord, VectorWord, dual
 
@@ -73,14 +73,29 @@ def translate(center: MatrixWord, rows):
     return tuple(tuple(map(F.add, crow, row)) for crow, row in zip(center.entries, rows))
 
 
+def iter_full_colrank(field, n, i):
+    """All n x i matrices of rank i, as tuples of i columns (each a tuple of
+    length n), in ``itertools.product`` order of the columns."""
+    columns = list(itertools.product(range(field.order), repeat=n))
+    for cols in itertools.product(columns, repeat=i):
+        if linalg.rank(field, cols) == i:
+            yield cols
+
+
 def ball_words(field, n, m, r):
-    """The words of B_R(0, r) in enumeration order, each a tuple of n row
-    tuples: the blocks of ``enumerate_ball`` flattened, the word of factor A
-    in block B having as row o the combination of B's rows with row o of A."""
+    """The words of B_R(0, r), each a tuple of n row tuples, through the
+    factorization X = A * B of a rank-i matrix: for each rank i <= min(r, m),
+    each RREF matrix B in ``iter_rref`` order, and each full-column-rank
+    factor A in ``iter_full_colrank`` order, the word whose row o combines
+    B's rows with row o of A."""
+    if ball_size_exact(n, m, field.order, r) > ENUM_LIMIT:  # also rejects r outside 0..n
+        raise SizeError(f"ball B_R(0, {r}) in {n} x {m} matrices exceeds 2^22 words")
     zero = [0] * m
-    for B, factors in enumerate_ball(field, n, m, r):
-        for A in factors:
-            yield tuple(tuple(linalg.combine(field, [col[o] for col in A], B, zero)) for o in range(n))
+    for i in range(min(r, m) + 1):
+        factors = list(iter_full_colrank(field, n, i))
+        for B in iter_rref(field, i, m):
+            for A in factors:
+                yield tuple(tuple(linalg.combine(field, [col[o] for col in A], B, zero)) for o in range(n))
 
 
 def is_contained_in_dual(code):

@@ -1,17 +1,17 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import ball_words, check_gb_bounds, gb_recurrence_holds, translate
+from oracles import ball_words, check_gb_bounds, gb_recurrence_holds, iter_full_colrank, translate
 from sorank import linalg
 from sorank.balls import (
     ball_size_exact,
     ball_size_upper_bound,
     enumerate_ball,
     gaussian_binomial,
-    iter_full_colrank,
     iter_rref,
     rank_stratum_count,
     sample_from_ball,
@@ -99,10 +99,15 @@ def test_ball_size_and_radius_range():
 
 
 def test_iter_factorizations_count():
+    # X = A * B is a bijection from (full-column-rank n x i factor A, rank-i
+    # RREF matrix B) onto the n x m matrices of rank i, as ball_words uses it.
     assert sum(1 for _ in iter_rref(F2, 1, 2)) == 3
     assert sum(1 for _ in iter_full_colrank(F2, 2, 1)) == 3
-    # rank-1 stratum of 2x2 over GF(2): 3 * 3 = 9
-    assert rank_stratum_count(2, 2, 2, 1) == 9
+    for q, n, m in ((2, 2, 2), (2, 3, 2), (2, 2, 4), (3, 2, 3)):
+        F = field_from_q(q)
+        for i in range(min(n, m) + 1):
+            pairs = sum(1 for _ in iter_rref(F, i, m)) * sum(1 for _ in iter_full_colrank(F, n, i))
+            assert pairs == rank_stratum_count(n, m, q, i)
 
 
 @pytest.mark.parametrize("q,n,m,r", [(2, 2, 2, 1), (2, 2, 2, 2), (3, 2, 2, 1), (2, 2, 3, 1)])
@@ -114,21 +119,67 @@ def test_enumerate_ball_matches_exact_count(q, n, m, r):
     assert all(rank_distance(center, MatrixWord(w, F)) <= r for w in members)
 
 
+def _lattice_coefficients(q, s, r):
+    """c_w = sum_{d <= r - w} (-1)^d q^(d(d-1)/2) [s - w, d]_q, w = 0..r."""
+    return [
+        sum((-1) ** d * q ** (d * (d - 1) // 2) * gaussian_binomial(s - w, d, q) for d in range(r - w + 1))
+        for w in range(r + 1)
+    ]
+
+
 @pytest.mark.parametrize("q,n,m,r", [(2, 3, 8, 1), (2, 5, 5, 1), (3, 2, 3, 2), (2, 4, 2, 2), (2, 2, 2, 0)])
 def test_enumerate_ball_yields_one_block_per_rref(q, n, m, r):
-    # One block per RREF matrix B of rank i <= min(r, m), in iter_rref order,
-    # with the factors of rank i: iter_full_colrank's list, one object shared
-    # by all blocks of that rank: [m, i]_q blocks, 256 and 32 at the two
-    # ball-route shapes.
+    # One term (W, c_W) per RREF matrix W of rank w <= min(r, s), s = min(n, m),
+    # in iter_rref order over GF(q)^s, for each w whose coefficient is
+    # nonzero: 8 and 32 terms at the two ball-route shapes, one (the zero
+    # subspace) at r = 0, and only the whole space, with c = 1, once r
+    # reaches s.
     F = field_from_q(q)
-    blocks = list(enumerate_ball(F, n, m, r))
-    ranks = range(min(r, m) + 1)
-    assert [B for B, _ in blocks] == [B for i in ranks for B in iter_rref(F, i, m)]
-    for i in ranks:
-        factors = [A for B, A in blocks if len(B) == i]
-        assert factors[0] == list(iter_full_colrank(F, n, i)) and all(A is factors[0] for A in factors)
-    assert sum(len(A) for _, A in blocks) == ball_size_exact(n, m, q, r)
-    assert len(blocks) == sum(gaussian_binomial(m, i, q) for i in ranks)
+    s = min(n, m)
+    coeffs = _lattice_coefficients(q, s, min(r, s))
+    terms = list(enumerate_ball(F, n, m, r))
+    assert terms == [(W, c) for w, c in enumerate(coeffs) if c for W in iter_rref(F, w, s)]
+    assert all(c for _, c in terms)
+    assert len(terms) == {(2, 3, 8, 1): 8, (2, 5, 5, 1): 32}.get((q, n, m, r), 1)
+    if r >= s:
+        assert terms == [([[int(i == j) for j in range(s)] for i in range(s)], 1)]
+
+
+def _space(F, rows):
+    """The RREF rows of the column space of an n x m matrix with n <= m, and
+    of its row space when m < n: the space ``enumerate_ball`` reads."""
+    vectors = list(zip(*rows)) if len(rows) <= len(rows[0]) else rows
+    R, pivots = linalg.rref(F, vectors)
+    return tuple(map(tuple, R[: len(pivots)]))
+
+
+@pytest.mark.parametrize("q,limit", [(2, 12), (3, 6)])
+def test_lattice_terms_sum_to_the_rank_indicator(q, limit):
+    # For every n x m matrix X with nm <= limit, both orientations, and every
+    # radius r: sum_W c_W [space(X) in W] = [rank X <= r].  Matrices with
+    # the same space share the sum, which is computed once per space.
+    F = field_from_q(q)
+    checked = 0
+    for n, m in ((n, m) for n in range(1, limit + 1) for m in range(1, limit // n + 1)):
+        spaces = Counter(_space(F, flat) for flat in itertools.product(itertools.product(range(q), repeat=m), repeat=n))
+        assert sum(spaces.values()) == q ** (n * m)
+        for r in range(n + 1):
+            terms = list(enumerate_ball(F, n, m, r))
+            for U in spaces:
+                inside = sum(c for W, c in terms if linalg.rank(F, [*W, *U]) == len(W))
+                assert inside == (len(U) <= r), (n, m, r, U)
+                checked += spaces[U]
+    assert checked == sum(q ** (n * m) * (n + 1) for n in range(1, limit + 1) for m in range(1, limit // n + 1))
+
+
+@pytest.mark.parametrize("q,side", [(2, 6), (3, 5), (4, 4), (5, 4)])
+def test_lattice_terms_count_the_ball(q, side):
+    # Each W of dimension w holds q^(max(n, m) * w) matrices with space in W.
+    F = field_from_q(q)
+    for n, m in itertools.product(range(1, side + 1), repeat=2):
+        for r in range(n + 1):
+            total = sum(c * q ** (max(n, m) * len(W)) for W, c in enumerate_ball(F, n, m, r))
+            assert total == ball_size_exact(n, m, q, r), (n, m, r)
 
 
 def test_enumerate_ball_matches_full_scan():
@@ -196,9 +247,9 @@ def test_sample_from_ball_tall_shapes():
 # as tuples of column tuples, the rows of every word of the ball around a center in
 # enumeration order, and the rows of 300 draws from that ball with
 # random.Random(1000q + 100n + 10m + r).  The center's entry (i, j) is
-# (i + 2j) mod q, added to each word around zero that ball_words (the blocks
-# of enumerate_ball, flattened) and sample_from_ball give.  Recorded while the
-# balls had a center argument and enumerate_ball yielded words, the full-rank
+# (i + 2j) mod q, added to each word around zero that ball_words and
+# sample_from_ball give.  Recorded while the balls had a center argument and
+# enumerate_ball yielded words (ball_words now lists them), the full-rank
 # factors came from a recursive span search and the RREF shapes and weighted
 # draws were written out separately in each caller.
 BALL_STREAMS = {
@@ -285,7 +336,8 @@ BAD_ARGUMENTS = {
     "stratum-rank-negative": (lambda: rank_stratum_count(2, 3, 2, -1), ParamError),
     "bound-tau-zero": (lambda: ball_size_upper_bound(2, 3, 2, 0.0), ParamError),
     "bound-tau-one": (lambda: ball_size_upper_bound(2, 3, 2, 1.0), ParamError),
-    "enumerate-over-2^22": (lambda: next(enumerate_ball(F2, 4, 8, 4)), SizeError),
+    # [10, 5]_2 alone is 109,221,651 subspaces.
+    "enumerate-over-2^22": (lambda: next(enumerate_ball(F2, 10, 10, 5)), SizeError),
 }
 
 

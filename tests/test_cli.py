@@ -130,6 +130,23 @@ def test_ball_tall_shape_and_missing_radius():
 
 
 @pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["ball", "--q", "2", "--n", "2", "--m", "2", "--bound"], "error: E_PARAM: --bound requires --tau\n"),
+        (
+            ["roots", "--q", "3", "--nvars", "2", "--coeffs", "1,x"],
+            "error: E_FORMAT: coefficients must be comma-separated integers\n",
+        ),
+    ],
+    ids=["ball-bound-without-tau", "roots-non-integer-coefficient"],
+)
+def test_domain_errors_print_one_line(argv, line, capsys):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == line
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--q", "6", "--n", "2", "--m", "2", "--r", "1"],

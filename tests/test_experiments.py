@@ -92,7 +92,7 @@ def test_list_size_at_small_oracle():
 # Codes whose list sizes are checked against the code-scan oracle.  Each case
 # is (q, n, m, k, ext, ball_radii): ext is None for a matrix code, else the
 # extension of a vector code (m = ext.m), and ball_radii are exactly the radii
-# at which |C| exceeds the ball, so list_size_at must take the ball scan.
+# at which |C| exceeds the ball, so list_size_at must take the lattice route.
 # 1, x, x+x^2 is no GF(8)-multiple of the polynomial basis, so it changes the
 # matrix picture of a vector code.
 E8_NONPOLY = ExtField(field_from_q(2), 3, basis=(1, 2, 6))
@@ -103,7 +103,7 @@ MATRIX_CASES = {
     "GF2-2x2-k0": (2, 2, 2, 0, None, ()),
     "GF2-2x2-full": (2, 2, 2, 4, None, (0, 1)),
     "GF3-2x2-full": (3, 2, 2, 4, None, (0, 1)),
-    "GF2-3x4-k11": (2, 3, 4, 11, None, (0, 1, 2)),  # r = 2 reads two-coefficient table rows
+    "GF2-3x4-k11": (2, 3, 4, 11, None, (0, 1, 2)),  # r = 2 reads subspaces of dimension 2
 }
 VECTOR_CASES = {
     "GF4-n2-k1": (2, 2, 2, 1, ext_field(2, 2), (0,)),
@@ -124,8 +124,8 @@ BALL_ROUTE_CASES = {
     "GF32-n5-k2": (2, 5, 5, 2, ext_field(2, 5), (0, 1)),
 }
 # Vector codes longer than m, whose matrix pictures are tall: their balls
-# are counted and enumerated as n x m rows like any other, and the last one
-# takes the ball scan at radius 1.
+# are counted over the row spaces in GF(q)^m, and the last one
+# takes the lattice route at radius 1.
 TALL_VECTOR_CASES = {
     "GF4-n5-k2": (2, 5, 2, 2, ext_field(2, 2), (0,)),
     "GF9-n4-k1": (3, 4, 2, 1, ext_field(3, 2), (0,)),
@@ -171,10 +171,10 @@ def _random_code(q, n, m, k, ext, rng):
 
 def _check_routes_agree(case, monkeypatch, seeds=(31,)):
     """At every radius whose ball has at most SPELL_OUT_LIMIT words,
-    list_size_at equals the code scan, and takes the ball scan exactly at
+    list_size_at equals the code scan, and takes the lattice route exactly at
     ``ball_radii``; the ball scan spelled out (enumerate the ball, test
     membership) equals the code scan at the other radii too.  One code per
-    seed, four centers per code.  The spy records a ball when its blocks are
+    seed, four centers per code.  The spy records a ball when its terms are
     first iterated, as a traced run counts a generator call."""
     *params, ball_radii = case
     spans = []
@@ -205,8 +205,8 @@ def _check_routes_agree(case, monkeypatch, seeds=(31,)):
 
 
 def test_list_size_routes_build_no_word_per_scanned_word(monkeypatch):
-    """Neither the ball scan (r = 1 here), a syndrome match that needs no
-    word around the center, nor the code scan (r = 2) builds a word."""
+    """Neither the lattice route (r = 1 here), one linear system per
+    subspace, nor the code scan (r = 2) builds a word."""
     rng = random.Random(31)
     codes = [_random_code(*case[:-1], rng) for case in (MATRIX_CASES["GF3-2x3-k5"], VECTOR_CASES["GF8-n3-k2"])]
     centers = [_random_word(code, rng) for code in codes]
@@ -340,9 +340,10 @@ def test_rank_one_words_of_a_vector_code_come_from_its_subfield_subcode():
 def test_rank_distribution_sums_are_list_sizes_at_zero(bsize, monkeypatch):
     """A_0 + ... + A_r is the list size at the zero word, at every radius
     whose ball has at most SPELL_OUT_LIMIT words.  A ball size of 0 sends
-    list_size_at to the ball scan, one of ENUM_LIMIT to the code scan; each
-    ball's blocks are enumerated once and reused, as they depend only on q,
-    and recorded when first iterated, as a traced run counts a generator call."""
+    list_size_at to the lattice route, one of ENUM_LIMIT to the code scan;
+    each ball's terms are enumerated once and reused, as they depend only on
+    q, and recorded when first iterated, as a traced run counts a generator
+    call."""
     spans, balls = [], {}
 
     def spy(field, n, m, radius):
@@ -379,8 +380,8 @@ def _forced_ball_route_cases(q, side, limit, rng):
 
 
 def _check_forced_ball_route(q, side, limit, code_scan, monkeypatch):
-    """list_size_at on the ball route (a ball size of 0 sends it there)
-    equals the word-by-word syndrome match over the flattened blocks and
+    """list_size_at on the lattice route (a ball size of 0 sends it there)
+    equals the word-by-word syndrome match over the ball's words and
     ``code_scan(code, center_rows)``, a list of the ranks of center - c over
     the codewords c (None to skip it); returns the number of cases."""
     monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: 0)
@@ -412,10 +413,10 @@ def _gf2_rank(rows):
 
 
 def test_gf2_ball_route_matches_word_match_and_code_scan(monkeypatch):
-    """The GF(2) ball route counts syndrome matches per factor block, with
-    no word built.  Every shape up to 4 x 4 at every radius with a ball of at
-    most 5,000 words: 729 cases.  The code scan reads the rank of each word,
-    a bit mask (bit i * m + j for entry (i, j)), off one table per shape."""
+    """The lattice route over GF(2), on every shape up to 4 x 4, tall ones
+    included, at every radius with a ball of at most 5,000 words: 729 cases.
+    The code scan reads the rank of each word, a bit mask (bit i * m + j for
+    entry (i, j)), off one table per shape."""
     ranks = {}
 
     def code_scan(code, rows):
@@ -434,11 +435,10 @@ def test_gf2_ball_route_matches_word_match_and_code_scan(monkeypatch):
 
 @pytest.mark.parametrize("q", [3, 4, 9])
 def test_odd_and_gf4_ball_route_matches_word_match_and_code_scan(q, monkeypatch):
-    """The q > 2 ball route matches the center's syndrome word by word, over
-    each block's table of rows keyed by coefficient tuple.  Every shape up to
+    """The lattice route over GF(3), GF(4) and GF(9), on every shape up to
     3 x 3 at every radius with a ball of at most 2,000 words, which keeps
-    blocks of rank 2 (2 x 3 at r = 2 over GF(3), 2 x 2 over GF(4)); the code
-    scan lists the codes of at most 1,024 words."""
+    subspaces of dimension 2 (2 x 3 at r = 2 over GF(3), 2 x 2 over GF(4));
+    the code scan lists the codes of at most 1,024 words."""
     F = field_from_q(q)
 
     def code_scan(code, rows):
@@ -453,10 +453,10 @@ def test_odd_and_gf4_ball_route_matches_word_match_and_code_scan(q, monkeypatch)
 
 
 def test_zero_radius_ball_route_builds_no_row_table():
-    """At r = 0 the ball is one block, the zero word, so the GF(2) ball route
-    of a wide code returns at once and builds no table over the 2^m row
-    masks.  m = 20 comes first: a table there would show in the traced peak
-    (8 MB for its list alone) while still fitting in memory."""
+    """At r = 0 the ball is one term, the zero subspace, so the lattice route
+    of a wide code returns at once and builds no table over the 2^m rows.
+    m = 20 comes first: such a table would show in the traced peak (8 MB for
+    its list alone) while still fitting in memory."""
     rng = random.Random(47)
     for m in (20, 30):
         code = uniform_linear_code(F2, 1, m, 3, rng)
@@ -473,7 +473,7 @@ def test_zero_radius_ball_route_builds_no_row_table():
 def test_tall_gf2_code_takes_the_ball_route(monkeypatch):
     """4 x 2 codes over GF(2), a matrix code with k = 6 and a GF(4)-linear
     code of length 4 with k = 3, have 64 words against 46 in the radius-1
-    ball: list_size_at takes the ball route, and equals the code scan."""
+    ball: list_size_at takes the lattice route, and equals the code scan."""
     spans = []
 
     def spy(field, n, m, radius):
@@ -563,13 +563,45 @@ def test_dual_and_its_check_run_one_elimination(monkeypatch):
 def test_list_size_tall_code_with_a_small_ball():
     # The full GF(4)-linear code of length 12 has 2^24 words, too many to
     # scan; its 12 x 2 ball of radius 1 has 1 + (2^12 - 1) * 3 words, all
-    # codewords.  At radius 2 the ball is the whole 2^24-word space too.
+    # codewords.  At radius 2 the ball is the whole 2^24-word space too, one
+    # lattice term: the whole space GF(2)^2 of row spaces.
     ext = ext_field(2, 2)
     code = LinearCode([[int(i == j) for j in range(12)] for i in range(12)], F2, 12, 2, ext)
     center = VectorWord((1, 2, 3) * 4, ext)
     assert list_size_at(code, center, 1) == ball_size_exact(12, 2, 2, 1) == 12_286
-    with pytest.raises(SizeError):
-        list_size_at(code, center, 2)
+    assert list_size_at(code, center, 2) == 16_777_216
+
+
+def test_lattice_route_beyond_the_ball_limit(monkeypatch):
+    # A GF(2^10)-linear code of length 4 with k = 1: 1,024 words, against
+    # more than 2^22 in its 4 x 10 ball of radius 2, which the lattice reads
+    # as the 51 subspaces of GF(2)^4 of dimension <= 2.  Forced onto the
+    # lattice route, it equals the code scan at the zero word, a codeword and
+    # two random centers.
+    ext = ext_field(2, 10)
+    assert ball_size_exact(4, 10, 2, 2) > ENUM_LIMIT
+    rng = random.Random(71)
+    code = _random_code(2, 4, 10, 1, ext, rng)
+    centers = [code.word((0,) * 4), code.basis[0], _random_word(code, rng), _random_word(code, rng)]
+    by_code = [list_size_at(code, y, 2) for y in centers]
+    monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: 0)
+    assert [list_size_at(code, y, 2) for y in centers] == by_code
+    assert by_code[0] == by_code[1] >= 1  # L(c) = L(0) at a codeword c
+    # A 4 x 8 code with 2^23 words, more than ENUM_LIMIT, at r = 4: the
+    # whole space, which no longer raises SizeError.
+    assert list_size_at(_BIG, zero_word(F2, 4, 8), 4) == 2**23
+
+
+def test_list_size_at_full_radius_is_the_code_size(monkeypatch):
+    # At r = n every c_w but the whole space's vanishes, and L = |C| at
+    # every center, on the lattice route that a ball size of 0 forces.
+    monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: 0)
+    rng = random.Random(73)
+    for code in _rank_distribution_codes():
+        assert len(list(enumerate_ball(code.field, code.n, code.m, code.n))) == 1
+        size = code.lin_field().order ** code.k
+        for y in (code.word((0,) * code.width), _random_word(code, rng)):
+            assert list_size_at(code, y, code.n) == size, (code.n, code.m, code.q, code.rows)
 
 
 def test_vector_words_read_over_the_code_basis():
@@ -676,7 +708,7 @@ def test_experiment_report_fields():
 # both representations, so any change in what a trial draws shows here.
 STREAM_CONFIGS = {
     "matrix": dict(q=3, n=2, m=4, tau=0.5, epsilon=0.1),  # k=2, code scan
-    "vector": dict(q=2, n=5, m=5, tau=0.2, epsilon=0.2),  # k=2 over GF(32), ball scan
+    "vector": dict(q=2, n=5, m=5, tau=0.2, epsilon=0.2),  # k=2 over GF(32), lattice route
 }
 STREAM_SHA256 = {
     ("matrix", "self-orthogonal"): "cddbce752ab128fee26874ce2a1a08b9f8887ee474cb0c4bd6b9d9262386900f",
@@ -947,12 +979,15 @@ _X = MatrixWord(((1, 0, 0, 0), (0, 0, 0, 0)), F2)
 # A 23-dimensional code in 4 x 8 matrices: more codewords than ENUM_LIMIT,
 # and a ball of radius 4 (all 2^32 matrices) larger still.
 _BIG = LinearCode([[int(i == j) for j in range(32)] for i in range(23)], F2, 4, 8)
+# The same in 10 x 10 matrices, where the ball of radius 5 takes more than
+# ENUM_LIMIT subspaces of GF(2)^10 too.
+_HUGE = LinearCode([[int(i == j) for j in range(100)] for i in range(23)], F2, 10, 10)
 # Each argument check with the error class it raises.
 BAD_ARGUMENTS = {
     "gv-rho-above-one": (lambda: gv_rate(0.5, 1.5, 0.1), ParamError),
     "list-radius-negative": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), -1), ParamError),
     "list-radius-above-n": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), 5), ParamError),
-    "list-code-and-ball-too-large": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), 4), SizeError),
+    "list-code-and-ball-too-large": (lambda: list_size_at(_HUGE, zero_word(F2, 10, 10), 5), SizeError),
     "config-unknown-repr": (lambda: ExperimentConfig(**_CONFIG, repr="tensor"), ParamError),
     "lemma47-span-over-2^20": (lambda: lemma47_event_estimate(2, 2, 4, 0.5, 21, 1.0, 1, 0), SizeError),
     "lemma48-dependent-set": (lambda: lemma48_event_estimate(2, 2, 4, 3, [_X, _X], 1, 0), ParamError),
