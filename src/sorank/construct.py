@@ -20,6 +20,7 @@ the same way, through ``_outside_span``.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from . import linalg
 from .errors import BudgetError, ParamError
@@ -30,6 +31,7 @@ STEP_BUDGET = 10_000
 # Root sampling inside the construction uses a small exhaustive cutoff;
 # rejection sampling is equally uniform and far cheaper per call here.
 _ROOT_EXHAUSTIVE_LIMIT = 256
+_sum_of_squares = lru_cache(maxsize=128)(sum_of_squares)  # one per field object and D
 
 
 def max_so_dimension(D: int) -> int:
@@ -76,8 +78,7 @@ def so_flat_vectors(F, D, k, rng):
     """k pairwise- and self-orthogonal independent vectors in F^D."""
     if not 1 <= k <= max_so_dimension(D):
         raise ParamError(f"k={k} outside 1..{max_so_dimension(D)} for ambient dimension {D}")
-    form = sum_of_squares(F, D)
-    found = [list(sample_root(form, rng, nonzero=True, exhaustive_limit=_ROOT_EXHAUSTIVE_LIMIT))]
+    found = [list(sample_root(_sum_of_squares(F, D), rng, nonzero=True, exhaustive_limit=_ROOT_EXHAUSTIVE_LIMIT))]
     while len(found) < k:
         null_basis = linalg.nullspace(F, found)
         g = _restricted_form(F, null_basis)

@@ -104,7 +104,7 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
         # [H_W | s]: each check row read on W (x) F^e, by each row w of W.
         de = len(W) * e
         M = [[x for w in W for x in linalg.combine(F, w, blocks)] + [v] for blocks, v in zip(checks, s)]
-        _, pivots = linalg.rref(F, M)
+        pivots = linalg.pivots(F, M)
         if de not in pivots:  # s lies in the column span of H_W
             count += c * F.order ** (de - len(pivots))
     return count

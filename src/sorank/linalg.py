@@ -89,6 +89,11 @@ def rref(F, rows):
     return M, pivots
 
 
+def pivots(F, rows):
+    """The pivot columns of the forward pass, the same as ``rref``'s."""
+    return _echelon(F, rows)[1]
+
+
 def rank(F, rows):
     """Rank: the pivot count of the forward pass (no back-substitution)."""
     return len(_echelon(F, rows)[1])

@@ -8,20 +8,24 @@ has a zero diagonal and is the alternating part, which alone undercounts
 (x1^2 + x2^2 has alternating rank 0 but form rank 1), so the form is
 checked on the matrix's radical as well.
 
-Roots are listed lazily in ``itertools.product`` order.  A diagonal form in
-characteristic 2 is the square of a linear form, sum a_i x_i^2 =
-(sum sqrt(a_i) x_i)^2, so its roots are a hyperplane: they are enumerated
-directly, one coordinate solved from the others, without evaluating the
-form.  Every other form is a z^2 + l z + c in its last coordinate z, where
-l and c depend on the prefix of the other coordinates; for each prefix the
-z are read from a table, so no point is evaluated.  The zero point is the
-first root of every form, so ``nonzero`` skips the first root.
+Roots are listed lazily in ``itertools.product`` order, from the start-th
+on.  A diagonal form in characteristic 2 is the square of a linear form, sum
+a_i x_i^2 = (sum sqrt(a_i) x_i)^2, so its roots are a hyperplane: they are
+enumerated directly, one coordinate solved from the others, without
+evaluating the form, and the idx-th root is built from idx's digits, so
+``iter_roots`` seeks to a start in O(N) and ``sample_root`` draws such a
+root by its index.  Every other form is a z^2 + l z + c in its last
+coordinate z, where l and c depend on the prefix of the other coordinates;
+for each prefix the z are read from a table, so no point is evaluated.  The
+zero point is every form's first root, so ``nonzero`` starts one root later.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from operator import xor
 
 from . import linalg
 from .errors import BudgetError, ParamError, SizeError
@@ -135,43 +139,63 @@ def count_roots_formula(f: QuadraticForm):
     return tuple(sorted((Q ** (N - 1) - spread, Q ** (N - 1) + spread)))
 
 
-def iter_roots(f: QuadraticForm, nonzero=False):
-    """The roots of f (optionally without the zero point), lazily, in
-    ``itertools.product`` order."""
-    F = f.field
-    if F.char == 2 and all(i == j for i, j, _ in f._terms):
-        roots = _diagonal_char2_roots(f)
+def iter_roots(f: QuadraticForm, nonzero=False, start=0):
+    """The roots of f (optionally without the zero point) from the start-th
+    on, lazily, in ``itertools.product`` order."""
+    if start < 0:
+        raise ParamError(f"start {start} is negative")
+    start += nonzero  # the zero point is the first root of every form
+    if _is_hyperplane_form(f):
+        yield from _diagonal_char2_roots(f, start)
     else:
-        roots = _last_coordinate_roots(f)
-    if nonzero:
-        next(roots)  # the zero point, the first root of every form
-    yield from roots
+        yield from itertools.islice(_last_coordinate_roots(f), start, None)
 
 
-def _diagonal_char2_roots(f):
-    """Roots of sum a_i x_i^2 = (sum b_i x_i)^2, b_i = sqrt(a_i), in
-    characteristic 2: the hyperplane sum b_i x_i = 0 (everything when f = 0).
+def _is_hyperplane_form(f):
+    """A diagonal form in characteristic 2, whose roots are a hyperplane."""
+    return f.field.char == 2 and all(i == j for i, j, _ in f._terms)
 
-    With p the last index where b_p != 0, x_p = sum_{i<p} w_i x_i for
-    w_i = b_i / b_p depends only on earlier coordinates, so running the
-    other coordinates through ``itertools.product`` lists the roots in the
-    same order as the full product scan.  The partial sums over the last
-    prefix coordinates are carried once, for a block of at most _ROOT_BLOCK
+
+def _hyperplane(f):
+    """(p, w) for f = sum a_i x_i^2 = (sum sqrt(a_i) x_i)^2 != 0 in
+    characteristic 2: its roots are the hyperplane x_p = sum_{i<p} w_i x_i,
+    for p the last index with a_p != 0 and w_i = sqrt(a_i / a_p)."""
+    F = f.field
+    p, _, ap = f._terms[-1]
+    c, w = F.inv(ap), [0] * p
+    for i, _, a in f._terms[:-1]:
+        w[i] = F.pow(F.mul(a, c), F.order // 2)
+    return p, w
+
+
+def _product_from(o, n, idx):
+    """``itertools.product(range(o), repeat=n)`` from its idx-th tuple on:
+    the tuple of idx's base-o digits, then, for each position from the last
+    up, the tuples that raise that digit and run every later one from 0."""
+    digits = [idx // o**k % o for k in reversed(range(n))]
+    if idx < o**n:
+        yield tuple(digits)
+        for k in reversed(range(n)):
+            yield from itertools.product(*zip(digits[:k]), range(digits[k] + 1, o), *[range(o)] * (n - 1 - k))
+
+
+def _diagonal_char2_roots(f, start):
+    """The roots of a diagonal form in characteristic 2 from the start-th on:
+    every point when f = 0, else the hyperplane of ``_hyperplane``, whose x_p
+    depends only on earlier coordinates.  So in product order the idx-th root
+    is idx's base-o digits over the other coordinates with x_p solved, and a
+    seek costs O(N).  A listing from the first root carries the partial sums
+    over the last prefix coordinates once, for a block of at most _ROOT_BLOCK
     prefixes; addition in characteristic 2 is XOR of the encodings.
     """
     F = f.field
     o, N = F.order, f.nvars
-    b = [0] * N
-    for i, _, a in f._terms:
-        b[i] = F.pow(a, o // 2)
+    if f.is_zero():
+        return _product_from(o, N, start)
+    p, w = _hyperplane(f)
+    if start:
+        return (x[:p] + (reduce(xor, map(F.mul, w, x), 0),) + x[p:] for x in _product_from(o, N - 1, start))
     free = range(o)
-    if not any(b):
-        return itertools.product(free, repeat=N)
-    p = N - 1
-    while not b[p]:
-        p -= 1
-    c = F.inv(b[p])
-    w = [F.mul(bi, c) for bi in b[:p]]
     # The low block is coordinates h..p-1, with o^(p-h) <= _ROOT_BLOCK.
     h = p
     while h and o ** (p - h + 1) <= _ROOT_BLOCK:
@@ -182,9 +206,7 @@ def _diagonal_char2_roots(f):
         sums = [s ^ sv for s in sums for sv in scaled]
 
     def rows(hi):
-        s = 0
-        for wi, v in zip(w, hi):
-            s ^= F.mul(wi, v)
+        s = reduce(xor, map(F.mul, w, hi), 0)
         return [hi + lo + (s ^ t,) for lo, t in zip(itertools.product(free, repeat=p - h), sums)]
 
     heads = itertools.chain.from_iterable(map(rows, itertools.product(free, repeat=h)))
@@ -232,17 +254,19 @@ def _last_coordinate_roots(f):
 def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT):
     """A uniformly random (optionally nonzero) root of f.
 
-    Small spaces are enumerated and sampled exactly; larger ones use
-    rejection sampling on uniform points, which is uniform over the root
-    set by construction.
+    Small spaces are sampled exactly, by one draw over the root count (a
+    hyperplane's drawn root is sought, the others' listed); larger ones use
+    rejection sampling on uniform points, uniform over the root set.
     """
     o = f.field.order
     space = o**f.nvars
     if space <= exhaustive_limit:
-        roots = list(iter_roots(f, nonzero=nonzero))
-        if not roots:
+        roots = None if _is_hyperplane_form(f) else list(iter_roots(f, nonzero=nonzero))
+        count = o ** (f.nvars - (not f.is_zero())) - nonzero if roots is None else len(roots)
+        if not count:
             raise ParamError("no root exists" + (" (nonzero)" if nonzero else ""))
-        return roots[rng.randrange(len(roots))]
+        idx = rng.randrange(count)
+        return next(iter_roots(f, nonzero, start=idx)) if roots is None else roots[idx]
     for _ in range(SAMPLE_BUDGET):
         x = tuple(rng.randrange(o) for _ in range(f.nvars))
         if nonzero and not any(x):

@@ -136,3 +136,10 @@ def test_rref_is_reduced_and_keeps_the_row_space(F):
         assert len(R) == len(M)
         if M:
             assert linalg.rank(F, R) == r == linalg.rank(F, M + R)
+
+
+@pytest.mark.parametrize("F", [_gf(q) for q in (2, 3, 4, 9)])
+def test_pivots_are_the_pivots_of_rref(F):
+    rng = random.Random(31)
+    for M in _rref_cases(F, rng):
+        assert linalg.pivots(F, M) == linalg.rref(F, M)[1]

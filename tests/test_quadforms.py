@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from oracles import from_full_matrix, iter_roots_brute, rank_of_form_two_matrices, transform
-from sorank import linalg, quadforms
+from sorank import construct, linalg, quadforms
 from sorank.errors import ParamError, SizeError
 from sorank.fields import ExtField, ext_field, field_from_q, prime_power
 from sorank.quadforms import (
@@ -206,15 +206,77 @@ ROOT_LISTING_GRID = (
 )
 
 
+def _starts(count):
+    """Every start 1..count for at most 64 roots; above that, where listing
+    every tail would cost count^2 roots, count - 1, count and 8 starts in
+    between, spread so that their digits vary."""
+    if count <= 64:
+        return range(1, count + 1)
+    return sorted({count - 1, count, *range(1, count, count // 8 + 1)})
+
+
 @pytest.mark.parametrize("field,N", ROOT_LISTING_GRID)
 def test_iter_roots_matches_full_scan(field, N):
     # Both listers, the characteristic-2 hyperplane and the last-coordinate
     # solve, must list the roots in the order of the scan that evaluates
-    # every point.
+    # every point, from the first root and from every start in _starts: the
+    # hyperplane lister seeks to the start-th root and goes on in order, the
+    # last-coordinate solve skips the roots before it.
     rng = random.Random(field.order * 10 + N)
     for f in _forms_for_root_listing(field, N, rng):
         for nonzero in (False, True):
-            assert list(iter_roots(f, nonzero)) == list(iter_roots_brute(f, nonzero)), (f.coeffs, nonzero)
+            brute = list(iter_roots_brute(f, nonzero))
+            assert list(iter_roots(f, nonzero)) == brute, (f.coeffs, nonzero)
+            for i in _starts(len(brute)):
+                assert list(iter_roots(f, nonzero, start=i)) == brute[i:], (f.coeffs, nonzero, i)
+
+
+def test_iter_roots_rejects_a_negative_start():
+    for f in (sum_of_squares(F2, 3), sum_of_squares(F3, 3)):
+        with pytest.raises(ParamError):
+            next(iter_roots(f, start=-1))
+
+
+# Characteristic-2 fields with q^N <= 4096, the ExtField rows attaching a
+# non-polynomial basis to GF(8) and GF(16).
+CHAR2_DIAGONAL_GRID = _field_params((2,), range(1, 13)) + _field_params((4,), range(1, 7))
+CHAR2_DIAGONAL_GRID += _field_params((8, ExtField(field_from_q(2), 3, basis=(1, 2, 6))), range(1, 5))
+CHAR2_DIAGONAL_GRID += _field_params((16, ExtField(field_from_q(2), 4, basis=(1, 2, 6, 8))), range(1, 4))
+
+
+def _char2_diagonal_forms(field, N, rng):
+    """Random diagonal forms, one with every coefficient nonzero, and the zero form."""
+    for _ in range(3):
+        yield diagonal_form(field, [rng.randrange(field.order) for _ in range(N)])
+    yield diagonal_form(field, [rng.randrange(1, field.order) for _ in range(N)])
+    yield diagonal_form(field, [0] * N)
+
+
+@pytest.mark.parametrize("field,N", CHAR2_DIAGONAL_GRID)
+def test_iter_roots_seeks_every_root_of_a_char2_diagonal_form(field, N):
+    rng = random.Random(field.order * 100 + N)
+    for f in _char2_diagonal_forms(field, N, rng):
+        for nonzero in (False, True):
+            brute = list(iter_roots_brute(f, nonzero))
+            assert [next(iter_roots(f, nonzero, start=i)) for i in range(len(brute))] == brute
+            assert list(iter_roots(f, nonzero, start=len(brute))) == []
+
+
+def test_iter_roots_seek_is_linear_in_the_variables():
+    # Over GF(2)^40 the roots of the sum of squares are x_39 = x_0 + ... + x_38;
+    # the last one has the base-2 digits of 2^39 - 1, all ones, as x_0..x_38.
+    N = 40
+    f = sum_of_squares(F2, N)
+    idx = 2 ** (N - 1) - 1
+    free = tuple(idx >> (N - 2 - i) & 1 for i in range(N - 1))
+    tracemalloc.start()
+    try:
+        root = next(iter_roots(f, start=idx))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, f"peak {peak} bytes"
+    assert root == free + (sum(free) % 2,)
 
 
 @pytest.mark.parametrize("q", (3, 4, 5))
@@ -339,6 +401,64 @@ def test_generic_root_streams_pinned(key):
     limit = f.field.order**N
     draws = [sample_root(f, rng, nonzero=True, exhaustive_limit=limit) for _ in range(200)]
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == GENERIC_ROOT_STREAMS[key]
+
+
+@pytest.mark.parametrize("field,N", CHAR2_DIAGONAL_GRID)
+def test_sample_root_of_a_char2_diagonal_form_keeps_the_listing_stream(field, N):
+    # Drawn by index, the root and the RNG state afterwards must be those of
+    # listing every root and drawing one: the same root or the same error.
+    rng = random.Random(field.order * 1000 + N)
+    limit = field.order**N
+    for f in _char2_diagonal_forms(field, N, rng):
+        for nonzero in (False, True):
+            roots = list(iter_roots_brute(f, nonzero))
+            for seed in range(3):
+                new, old = random.Random(seed), random.Random(seed)
+                if roots:
+                    assert sample_root(f, new, nonzero, exhaustive_limit=limit) == roots[old.randrange(len(roots))]
+                else:
+                    with pytest.raises(ParamError):
+                        sample_root(f, new, nonzero, exhaustive_limit=limit)
+                assert new.getstate() == old.getstate(), (f.coeffs, nonzero, seed)
+
+
+def test_sample_root_calls_iter_roots_once_per_exhaustive_draw(monkeypatch):
+    # perfbench reads a sample_root call as exhaustive iff it called
+    # iter_roots: once per exhaustive draw, never on the rejection path.
+    calls = []
+    orig = quadforms.iter_roots
+    monkeypatch.setattr(quadforms, "iter_roots", lambda *a, **kw: calls.append(a) or orig(*a, **kw))
+    E16 = ext_field(2, 4)
+    forms = [
+        sum_of_squares(F2, 6),
+        diagonal_form(E16, [0, 3, 0]),
+        diagonal_form(E16, [0, 0, 0]),
+        sum_of_squares(F3, 4),
+        QuadraticForm(3, CLI_FORM_GF16[1], E16),
+    ]
+    rng = random.Random(7)
+    for f in forms:
+        space = f.field.order**f.nvars
+        del calls[:]
+        for _ in range(20):
+            sample_root(f, rng, nonzero=True, exhaustive_limit=space)
+        assert len(calls) == 20, f.coeffs
+        del calls[:]
+        for _ in range(20):
+            sample_root(f, rng, nonzero=True, exhaustive_limit=space - 1)
+        assert calls == [], f.coeffs
+    # The constructions of the criterion-7 trials (GF(2), 2 x 4 matrices)
+    # draw every root exhaustively, those of the GF(2^5)-linear vector codes
+    # of length 5 none.
+    draws = []
+    monkeypatch.setattr(construct, "sample_root", lambda *a, **kw: draws.append(a) or sample_root(*a, **kw))
+    for k in (1, 2, 3):
+        del calls[:], draws[:]
+        construct.so_code(F2, 2, 4, k, rng)
+        assert len(calls) == len(draws) >= k
+        del calls[:], draws[:]
+        construct.so_code(F2, 5, 5, 2, rng, repr="vector", ext=ext_field(2, 5))
+        assert calls == [] and len(draws) >= 2
 
 
 def test_sample_root_examples():
