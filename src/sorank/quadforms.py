@@ -33,8 +33,6 @@ from .errors import BudgetError, ParamError, SizeError
 BRUTE_LIMIT = 1 << 24
 EXHAUSTIVE_SAMPLE_LIMIT = 1 << 20
 SAMPLE_BUDGET = 100_000
-# Prefixes whose partial sums _diagonal_char2_roots keeps in one block.
-_ROOT_BLOCK = 256
 # Most entries the per-l tables of _last_coordinate_roots may hold (o^2).
 _ROOT_TABLE_LIMIT = 1 << 16
 
@@ -184,36 +182,14 @@ def _diagonal_char2_roots(f, start):
     every point when f = 0, else the hyperplane of ``_hyperplane``, whose x_p
     depends only on earlier coordinates.  So in product order the idx-th root
     is idx's base-o digits over the other coordinates with x_p solved, and a
-    seek costs O(N).  A listing from the first root carries the partial sums
-    over the last prefix coordinates once, for a block of at most _ROOT_BLOCK
-    prefixes; addition in characteristic 2 is XOR of the encodings.
+    seek costs O(N); addition in characteristic 2 is XOR of the encodings.
     """
     F = f.field
     o, N = F.order, f.nvars
     if f.is_zero():
         return _product_from(o, N, start)
     p, w = _hyperplane(f)
-    if start:
-        return (x[:p] + (reduce(xor, map(F.mul, w, x), 0),) + x[p:] for x in _product_from(o, N - 1, start))
-    free = range(o)
-    # The low block is coordinates h..p-1, with o^(p-h) <= _ROOT_BLOCK.
-    h = p
-    while h and o ** (p - h + 1) <= _ROOT_BLOCK:
-        h -= 1
-    sums = [0]  # sum_{h<=i<p} w_i x_i over the low block, in product order
-    for wj in w[h:]:
-        scaled = [F.mul(wj, v) for v in free]
-        sums = [s ^ sv for s in sums for sv in scaled]
-
-    def rows(hi):
-        s = reduce(xor, map(F.mul, w, hi), 0)
-        return [hi + lo + (s ^ t,) for lo, t in zip(itertools.product(free, repeat=p - h), sums)]
-
-    heads = itertools.chain.from_iterable(map(rows, itertools.product(free, repeat=h)))
-    tail = N - 1 - p
-    if not tail:
-        return heads
-    return (head + z for head in heads for z in itertools.product(free, repeat=tail))
+    return (x[:p] + (reduce(xor, map(F.mul, w, x), 0),) + x[p:] for x in _product_from(o, N - 1, start))
 
 
 def _last_coordinate_roots(f):
@@ -261,12 +237,15 @@ def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT)
     o = f.field.order
     space = o**f.nvars
     if space <= exhaustive_limit:
-        roots = None if _is_hyperplane_form(f) else list(iter_roots(f, nonzero=nonzero))
-        count = o ** (f.nvars - (not f.is_zero())) - nonzero if roots is None else len(roots)
-        if not count:
+        if _is_hyperplane_form(f):
+            count = o ** (f.nvars - (not f.is_zero())) - nonzero
+            if not count:
+                raise ParamError("no root exists" + (" (nonzero)" if nonzero else ""))
+            return next(iter_roots(f, nonzero, start=rng.randrange(count)))
+        roots = list(iter_roots(f, nonzero=nonzero))
+        if not roots:
             raise ParamError("no root exists" + (" (nonzero)" if nonzero else ""))
-        idx = rng.randrange(count)
-        return next(iter_roots(f, nonzero, start=idx)) if roots is None else roots[idx]
+        return roots[rng.randrange(len(roots))]
     for _ in range(SAMPLE_BUDGET):
         x = tuple(rng.randrange(o) for _ in range(f.nvars))
         if nonzero and not any(x):
