@@ -185,8 +185,11 @@ def _cmd_experiment(args, out):
     print(f"wall time: {report.wall_time:.3f}s", file=sys.stderr)
     out.write(report.to_csv())
     if args.emit_hist:
-        with open(args.emit_hist, "w") as fh:
-            fh.write(report.histogram_csv())
+        try:
+            with open(args.emit_hist, "w") as fh:
+                fh.write(report.histogram_csv())
+        except OSError as exc:
+            raise ParamError(f"cannot write histogram to {args.emit_hist!r}: {exc.strerror}") from exc
     return 0
 
 

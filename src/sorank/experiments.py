@@ -1,5 +1,6 @@
 """List-size measurements and Monte Carlo event estimators.
 
+``list_size_at`` is the one list-size count, a span of draws being a code.
 Every experiment is deterministic given its seed: trial t draws from a
 fresh ``random.Random`` seeded with splitmix64(seed + t * GOLDEN), so
 trials are independent streams and a longer run reproduces a shorter one
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 from . import linalg
 from .balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, sample_from_ball
 from .construct import max_so_dimension, sample_code_star, so_code, uniform_linear_code
-from .errors import ParamError, SizeError
+from .errors import ParamError
 from .fields import ext_field, field_from_q
 from .words import LinearCode, is_self_orthogonal
 
@@ -77,27 +78,20 @@ def trial_rng(seed, trial):
 # -- exact list size --------------------------------------------------------
 
 
-def _count_low_rank(F, rows, start, n, m, r):
-    """The number of coefficient tuples c over F for which the n x m matrix
-    start + sum_i c_i * rows[i] (flat, row-major) has rank <= r."""
-    count = 0
-    for coeffs in itertools.product(range(F.order), repeat=len(rows)):
-        x = linalg.combine(F, coeffs, rows, start)
-        count += linalg.rank(F, [x[i * m : (i + 1) * m] for i in range(n)]) <= r
-    return count
-
-
 def list_size_at(code: LinearCode, center, r: int) -> int:
     """|B_R(center, r) cap code|.  The code scan, when the code has at most
-    as many words as the ball and at most ENUM_LIMIT, counts the GF(q)
-    combinations c of ``gfq_rows`` with rank(center + c) <= r (C = -C).
+    as many words as the ball and at most ENUM_LIMIT, counts the coefficient
+    tuples c over the linearity field with rank(center + c . rows) <= r
+    (C = -C), each word read as its n x m rows over GF(q) by ``rows_of``.
     Otherwise the lattice route sums c_W * f(W) over ``enumerate_ball``'s
     terms, where f(W) counts the words X of center + C whose space lies in
     W: the solutions of one linear system (see ``_lattice_checks``)."""
     rows = code.matrix_rows(center)  # either picture, as ``contains`` reads a word
-    if code.lin_field().order ** code.k <= min(ball_size_exact(code.n, code.m, code.q, r), ENUM_LIMIT):
-        start = [v for row in rows for v in row]
-        return _count_low_rank(code.field, code.gfq_rows, start, code.n, code.m, r)
+    F = code.lin_field()
+    if F.order**code.k <= min(ball_size_exact(code.n, code.m, code.q, r), ENUM_LIMIT):
+        start = code.flat_of(rows)
+        flats = (linalg.combine(F, c, code.rows, start) for c in itertools.product(range(F.order), repeat=code.k))
+        return sum(linalg.rank(code.field, code.rows_of(x)) <= r for x in flats)
     F, e, checks, s = _lattice_checks(code, rows)
     count = 0
     for W, c in enumerate_ball(code.field, code.n, code.m, r):
@@ -119,10 +113,9 @@ def _lattice_checks(code, rows):
     when m < n: ``parity_check`` cut by columns of X (e = n)."""
     n, m = code.n, code.m
     if code.ext is not None and n <= m:
-        ext = code.ext
-        y = [linalg.dot(ext, row, ext.basis) for row in rows]  # the center over GF(q^m)
+        y = code.flat_of(rows)  # the center over GF(q^m)
         checks = [[h[o : o + 1] for o in range(n)] for h in code.kernel]
-        return ext, 1, checks, [linalg.dot(ext, h, y) for h in code.kernel]
+        return code.ext, 1, checks, [linalg.dot(code.ext, h, y) for h in code.kernel]
     if m < n:
         return code.field, n, [[h[j::m] for j in range(m)] for h in code.parity_check], code.syndrome(rows)
     return code.field, m, [[h[i * m : (i + 1) * m] for i in range(n)] for h in code.parity_check], code.syndrome(rows)
@@ -267,15 +260,20 @@ class EventEstimate:
         return self.successes / self.trials
 
 
+def _estimate(trials, seed, event, extra):
+    """The estimate of how often ``event(rng)`` holds over ``trials`` trials,
+    trial t drawing from ``trial_rng(seed, t)``."""
+    hits = sum(event(trial_rng(seed, t)) for t in range(trials))
+    return EventEstimate(hits, trials, *wilson_interval(hits, trials), extra)
+
+
 def span_ball_overlap(field, words, radius):
     """|span{X_1..X_l} cap B_R(0, radius)| for n x m matrices X_i over
-    ``field``, each given as its rows: the coefficient tuples whose
-    combination lies in the ball, over the q^(l - rank) tuples that give
-    each span word."""
-    n, m = len(words[0]), len(words[0][0])
-    flats = [[v for row in w for v in row] for w in words]
-    hits = _count_low_rank(field, flats, [0] * (n * m), n, m, radius)
-    return hits // field.order ** (len(flats) - linalg.rank(field, flats))
+    ``field``, each given as its rows: the list size at the zero word of the
+    code the X_i span, its basis the nonzero rows of their flattened rref."""
+    R, pivots = linalg.rref(field, [[v for row in w for v in row] for w in words])
+    code = LinearCode(R[: len(pivots)], field, len(words[0]), len(words[0][0]))
+    return list_size_at(code, code.word((0,) * code.width), radius)
 
 
 def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed) -> EventEstimate:
@@ -283,19 +281,15 @@ def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed) -> EventEst
     over independent uniform draws X_i from the ball."""
     if ell < 1:
         raise ParamError(f"need ell >= 1, got {ell}")
-    if q**ell > (1 << 20):
-        raise SizeError("span too large to enumerate (q^ell > 2^20)")
     field = field_from_q(q)
     r = int(math.floor(tau * n))
     threshold = C_ratio * ell
-    hits = 0
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+
+    def event(rng):
         draws = [sample_from_ball(field, n, m, r, rng) for _ in range(ell)]
-        if span_ball_overlap(field, draws, r) >= threshold:
-            hits += 1
-    lo, hi = wilson_interval(hits, trials)
-    return EventEstimate(hits, trials, lo, hi, {"threshold": threshold, "radius": r})
+        return span_ball_overlap(field, draws, r) >= threshold
+
+    return _estimate(trials, seed, event, {"threshold": threshold, "radius": r})
 
 
 def lemma48_bound(q, n, m, k, ell):
@@ -312,14 +306,10 @@ def lemma48_event_estimate(q, n, m, k, fixed_set, trials, seed) -> EventEstimate
     if not 1 <= ell <= k or not 2 * k < m * n:
         raise ParamError("need 1 <= |fixed_set| <= k < mn/2")
     field = field_from_q(q)
-    rows = [list(w.flatten()) for w in fixed_set]
-    if not linalg.is_independent(field, rows):
+    if not linalg.is_independent(field, [w.flatten() for w in fixed_set]):
         raise ParamError("fixed_set must be linearly independent")
-    hits = 0
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        code = sample_code_star(field, n, m, k, rng)
-        if all(code.contains(w) for w in fixed_set):
-            hits += 1
-    lo, hi = wilson_interval(hits, trials)
-    return EventEstimate(hits, trials, lo, hi, {"bound": lemma48_bound(q, n, m, k, ell)})
+
+    def event(rng):
+        return all(map(sample_code_star(field, n, m, k, rng).contains, fixed_set))
+
+    return _estimate(trials, seed, event, {"bound": lemma48_bound(q, n, m, k, ell)})

@@ -4,10 +4,11 @@ A rank-metric codeword lives either as an n x m matrix over GF(q)
 (linearity over GF(q)) or as a length-n vector over GF(q^m) (linearity
 over GF(q^m)).  A vector word's matrix picture expands each coordinate
 over the attached basis of the extension.  A ``LinearCode`` is its k flat
-rows over the field it is linear over, and ``gfq_rows`` spans it over GF(q)
-in the matrix picture; word objects are built only for single words
-(``word``): the caller's, the basis and ``iter_words``.  ``dual`` and
-``parity_check`` read one kernel, computed once per code.
+rows over the field it is linear over; ``rows_of`` and ``flat_of`` map a
+word's flat row to its n x m rows over GF(q) and back.  Word objects are
+built only for single words (``word``): the caller's, the basis and
+``iter_words``.  ``dual`` and ``parity_check`` read one kernel, computed
+once per code.
 """
 
 from __future__ import annotations
@@ -170,6 +171,22 @@ class LinearCode:
             return MatrixWord.from_flat(row, self.field, self.n, self.m)
         return VectorWord(row, self.ext)
 
+    def rows_of(self, flat):
+        """The n x m rows over GF(q) of the word whose flat row over the
+        linearity field is ``flat``: its row-major slices for a matrix code,
+        each coordinate read over the attached basis for a vector code."""
+        if self.ext is None:
+            return [flat[i * self.m : (i + 1) * self.m] for i in range(self.n)]
+        return [self.ext.coords(c) for c in flat]
+
+    def flat_of(self, rows):
+        """The flat row over the linearity field of the word with n x m rows
+        ``rows`` over GF(q), the inverse of ``rows_of``: the rows joined for a
+        matrix code, each row dotted with ``ext.basis`` for a vector code."""
+        if self.ext is None:
+            return [v for row in rows for v in row]
+        return [linalg.dot(self.ext, row, self.ext.basis) for row in rows]
+
     @cached_property
     def basis(self):
         """The k basis words, built on first use."""
@@ -181,17 +198,6 @@ class LinearCode:
         F, rows = self.lin_field(), self.rows or [(0,) * self.width]  # k = 0: the zero word
         for coeffs in itertools.product(range(F.order), repeat=self.k):
             yield self.word(linalg.combine(F, coeffs, rows))
-
-    @cached_property
-    def gfq_rows(self):
-        """The code's basis over GF(q) as flat row-major n x m rows: ``rows``
-        for a matrix code; for a vector code the km rows b * g read over the
-        attached basis (as ``matrix_rows`` reads a word), for each row g and
-        each b in ``ext.basis``."""
-        ext = self.ext
-        if ext is None:
-            return self.rows
-        return tuple(tuple(v for c in g for v in ext.coords(ext.mul(b, c))) for g in self.rows for b in ext.basis)
 
     @cached_property
     def kernel(self):

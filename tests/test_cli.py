@@ -226,6 +226,19 @@ def test_experiment_command(tmp_path):
     assert again.stdout == out.stdout
 
 
+def test_experiment_unwritable_histogram_path(tmp_path):
+    # A histogram path under a missing directory is a domain error naming
+    # the path, not a traceback, and the report stays off stdout.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("q=2\nn=2\nm=4\ntau=0.5\nepsilon=0.1\ntrials=5\nseed=42\n")
+    hist = tmp_path / "missing" / "hist.csv"
+    out = run_cli("experiment", "--config", str(cfg), "--emit-hist", str(hist))
+    assert out.returncode == 1 and out.stdout == ""
+    assert "Traceback" not in out.stderr
+    last = out.stderr.splitlines()[-1]
+    assert last.startswith("error: E_PARAM:") and str(hist) in last
+
+
 def test_experiment_config_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("q=2\nn=2\nm=4\ntau=0.5\nepsilon=0.1\ntrials=5\nbogus=1\n")

@@ -25,7 +25,7 @@ from oracles import (
     zero_word,
 )
 from sorank import experiments, linalg
-from sorank.balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, gaussian_binomial, iter_rref
+from sorank.balls import ENUM_LIMIT, ball_size_exact, enumerate_ball, gaussian_binomial, iter_rref, sample_from_ball
 from sorank.construct import max_so_dimension, so_code, uniform_linear_code
 from sorank.errors import ParamError, SizeError
 from sorank.experiments import (
@@ -234,18 +234,51 @@ def test_list_size_tall_vector_codes(case):
             assert list_size_at(code, c, r) == sum(d <= r for d in dists)
 
 
-@pytest.mark.parametrize("case", VECTOR_CASES.values(), ids=VECTOR_CASES.keys())
-def test_gfq_rows_span_the_matrix_pictures(case):
-    """The GF(q) span of ``gfq_rows`` is the set of the codewords' matrix
-    pictures over the code's attached basis, and the km rows are independent."""
+PICTURE_CASES = {**MATRIX_CASES, **VECTOR_CASES}
+
+
+@pytest.mark.parametrize("case", PICTURE_CASES.values(), ids=PICTURE_CASES.keys())
+def test_rows_of_and_flat_of_map_the_pictures(case):
+    """For every codeword x, a flat row over the linearity field, ``rows_of``
+    gives the n x m rows ``matrix_rows`` reads off its word (over the
+    attached basis for a vector code), and ``flat_of`` gives x back."""
     *params, _ = case
     code = _random_code(*params, random.Random(47))
-    F, rows = code.field, code.gfq_rows
-    assert len(rows) == code.k * code.m and linalg.is_independent(F, rows)
-    zero = [0] * (code.n * code.m)
-    span = {tuple(linalg.combine(F, c, rows, zero)) for c in itertools.product(range(F.order), repeat=len(rows))}
-    pictures = {tuple(v for row in code.matrix_rows(w) for v in row) for w in code.iter_words()}
-    assert span == pictures
+    F, rows = code.lin_field(), code.rows or [(0,) * code.width]
+    for coeffs in itertools.product(range(F.order), repeat=code.k):
+        x = linalg.combine(F, coeffs, rows)
+        pictured = code.rows_of(x)
+        assert list(map(tuple, pictured)) == list(map(tuple, code.matrix_rows(code.word(x))))
+        assert list(code.flat_of(pictured)) == x
+
+
+def _span_words(F, words):
+    """The distinct words of span{X_1..X_l}, spelled out by combination."""
+    flats = [[v for row in w for v in row] for w in words]
+    return {tuple(linalg.combine(F, c, flats)) for c in itertools.product(range(F.order), repeat=len(flats))}
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("n,m", ((2, 2), (2, 3), (3, 2)))
+def test_span_ball_overlap_counts_distinct_span_words(q, n, m):
+    """span_ball_overlap equals the count of distinct span words of rank
+    <= r at every radius, for independent draws, dependent draws (one a
+    combination of the others, or repeated) and all-zero draws."""
+    F, rng = field_from_q(q), random.Random(53 + q)
+    zero = tuple((0,) * m for _ in range(n))
+
+    def draw():
+        return tuple(tuple(rng.randrange(q) for _ in range(m)) for _ in range(n))
+
+    for _ in range(3):
+        X, Y = draw(), draw()
+        a = rng.randrange(1, q)
+        XaY = tuple(tuple(F.add(x, F.mul(a, y)) for x, y in zip(rx, ry)) for rx, ry in zip(X, Y))
+        for words in ([X], [X, Y], [X, Y, XaY], [X, X], [zero], [zero, zero], [zero, X]):
+            span = _span_words(F, words)
+            for r in range(n + 1):
+                want = sum(linalg.rank(F, [w[i * m : (i + 1) * m] for i in range(n)]) <= r for w in span)
+                assert span_ball_overlap(F, words, r) == want
 
 
 @pytest.mark.parametrize("case,seeds", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
@@ -853,7 +886,7 @@ def test_span_ball_overlap_oracle():
     assert span_ball_overlap(F2, [X, Y], 1) == 3
     assert span_ball_overlap(F2, [X, Y], 2) == 4
     assert span_ball_overlap(F2, [X], 1) == 2
-    # dependent draws: each span word is hit q^(l - rank) times, counted once
+    # dependent draws: each span word is counted once
     assert span_ball_overlap(F2, [X, X], 1) == span_ball_overlap(F2, [X], 1) == 2
     XY = ((1, 0), (0, 1))
     for r in (0, 1, 2):
@@ -871,13 +904,20 @@ def test_lemma47_estimate():
     assert 0 <= est.ci_low <= est.frequency <= est.ci_high <= 1
     assert est.extra["radius"] == 1
     # manual recount of trial 0 must agree with a single-trial estimate
-    from sorank.balls import sample_from_ball
-
     rng = trial_rng(7, 0)
     draws = [sample_from_ball(F2, 2, 2, 1, rng) for _ in range(2)]
     manual_hit = span_ball_overlap(F2, draws, 1) >= 2
     one = lemma47_event_estimate(2, 2, 2, 0.5, 2, 1, 1, seed=7)
     assert one.successes == (1 if manual_hit else 0)
+
+
+def test_lemma47_runs_beyond_2_to_the_20_coefficient_tuples():
+    # 2^21 tuples of 21 draws span at most GF(2)^8: the span is a code of
+    # dimension <= 8, and its list size needs no scan of the tuples.
+    est = lemma47_event_estimate(2, 2, 4, 0.5, 21, 1.0, 1, 0)
+    rng = trial_rng(0, 0)
+    draws = [sample_from_ball(F2, 2, 4, 1, rng) for _ in range(21)]
+    assert est.trials == 1 and est.successes == (span_ball_overlap(F2, draws, 1) >= 21)
 
 
 def test_lemma47_rejects_bad_ell_and_tau():
@@ -989,7 +1029,8 @@ BAD_ARGUMENTS = {
     "list-radius-above-n": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), 5), ParamError),
     "list-code-and-ball-too-large": (lambda: list_size_at(_HUGE, zero_word(F2, 10, 10), 5), SizeError),
     "config-unknown-repr": (lambda: ExperimentConfig(**_CONFIG, repr="tensor"), ParamError),
-    "lemma47-span-over-2^20": (lambda: lemma47_event_estimate(2, 2, 4, 0.5, 21, 1.0, 1, 0), SizeError),
+    "span-radius-above-n": (lambda: span_ball_overlap(F2, [((1, 0), (0, 0))], 3), ParamError),
+    "span-radius-negative": (lambda: span_ball_overlap(F2, [((1, 0), (0, 0))], -1), ParamError),
     "lemma48-dependent-set": (lambda: lemma48_event_estimate(2, 2, 4, 3, [_X, _X], 1, 0), ParamError),
 }
 
