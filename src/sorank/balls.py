@@ -13,6 +13,7 @@ tuple of n row tuples.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -114,11 +115,7 @@ def enumerate_ball(field, n, m, radius):
 
 def _weighted_index(weights, rng):
     """Index t with probability weights[t] / sum(weights): one randrange."""
-    x = rng.randrange(sum(weights))
-    for t, w in enumerate(weights):
-        if x < w:
-            return t
-        x -= w
+    return bisect.bisect(list(itertools.accumulate(weights)), rng.randrange(sum(weights)))
 
 
 def _sample_rref(field, i, m, rng):

@@ -79,20 +79,21 @@ def trial_rng(seed, trial):
 
 
 def list_size_at(code: LinearCode, center, r: int) -> int:
-    """|B_R(center, r) cap code|.  The code scan, when the code has at most
-    as many words as the ball and at most ENUM_LIMIT, counts the coefficient
-    tuples c over the linearity field with rank(center + c . rows) <= r
-    (C = -C), each word read as its n x m rows over GF(q) by ``rows_of``.
-    Otherwise the lattice route sums c_W * f(W) over ``enumerate_ball``'s
-    terms, where f(W) counts the words X of center + C whose space lies in
-    W: the solutions of one linear system (see ``_lattice_checks``)."""
-    rows = code.matrix_rows(center)  # either picture, as ``contains`` reads a word
+    """|B_R(center, r) cap code| for a center in either picture, read once
+    as its flat row y over the linearity field by ``code.flat``.  The code
+    scan, when the code has at most as many words as the ball and at most
+    ENUM_LIMIT, counts the coefficient tuples c over the linearity field
+    with rank(y + c . rows) <= r (C = -C), each sum read as its n x m rows
+    over GF(q) by ``rows_of``.  Otherwise the lattice route sums
+    c_W * f(W) over ``enumerate_ball``'s terms, where f(W) counts the words
+    X of y + C whose space lies in W: the solutions of one linear system
+    (see ``_lattice_checks``)."""
+    y = code.flat(center)
     F = code.lin_field()
     if F.order**code.k <= min(ball_size_exact(code.n, code.m, code.q, r), ENUM_LIMIT):
-        start = code.flat_of(rows)
-        flats = (linalg.combine(F, c, code.rows, start) for c in itertools.product(range(F.order), repeat=code.k))
+        flats = (linalg.combine(F, c, code.rows, y) for c in itertools.product(range(F.order), repeat=code.k))
         return sum(linalg.rank(code.field, code.rows_of(x)) <= r for x in flats)
-    F, e, checks, s = _lattice_checks(code, rows)
+    F, e, checks, s = _lattice_checks(code, y)
     count = 0
     for W, c in enumerate_ball(code.field, code.n, code.m, r):
         # [H_W | s]: each check row read on W (x) F^e, by each row w of W.
@@ -104,21 +105,22 @@ def list_size_at(code: LinearCode, center, r: int) -> int:
     return count
 
 
-def _lattice_checks(code, rows):
+def _lattice_checks(code, y):
     """(F, e, checks, s): the code's check rows over F, each cut into
     min(n, m) blocks of e entries, one per coordinate of the space, and the
-    center's syndrome s.  Column spaces when n <= m: a matrix code's
-    ``parity_check`` cut by rows of X (e = m), or a vector code's ``kernel``
-    over GF(q^m) (e = 1), as W (x) GF(q^m) is a GF(q^m)-subspace.  Row spaces
-    when m < n: ``parity_check`` cut by columns of X (e = n)."""
+    syndrome s of the center's flat row y.  Column spaces when n <= m: the
+    ``kernel`` over the linearity field, cut into n blocks of e = width / n
+    (m for a matrix code, 1 for a vector code, as W (x) GF(q^m) is a
+    GF(q^m)-subspace), with s = ``syndrome(y)``.  Row spaces when m < n:
+    ``parity_check`` over GF(q) cut by columns of X (e = n), with s read
+    off the center's rows over GF(q)."""
     n, m = code.n, code.m
-    if code.ext is not None and n <= m:
-        y = code.flat_of(rows)  # the center over GF(q^m)
-        checks = [[h[o : o + 1] for o in range(n)] for h in code.kernel]
-        return code.ext, 1, checks, [linalg.dot(code.ext, h, y) for h in code.kernel]
-    if m < n:
-        return code.field, n, [[h[j::m] for j in range(m)] for h in code.parity_check], code.syndrome(rows)
-    return code.field, m, [[h[i * m : (i + 1) * m] for i in range(n)] for h in code.parity_check], code.syndrome(rows)
+    if n <= m:
+        e = code.width // n
+        return code.lin_field(), e, [[h[i * e : (i + 1) * e] for i in range(n)] for h in code.kernel], code.syndrome(y)
+    x = list(itertools.chain.from_iterable(code.rows_of(y)))
+    H = code.parity_check
+    return code.field, n, [[h[j::m] for j in range(m)] for h in H], [linalg.dot(code.field, h, x) for h in H]
 
 
 # -- experiment configuration and report ------------------------------------
@@ -226,9 +228,9 @@ def max_list_size_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         cs = trial_seed(cfg.seed, t)
         rng = random.Random(cs)
         code = _draw_code(cfg, k, rng)
-        center = code.word([rng.randrange(code.lin_field().order) for _ in range(code.width)])
-        list_sizes.append(list_size_at(code, center, r))
-        center_ranks.append(linalg.rank(code.field, code.matrix_rows(center)))
+        y = [rng.randrange(code.lin_field().order) for _ in range(code.width)]
+        list_sizes.append(list_size_at(code, code.word(y), r))
+        center_ranks.append(linalg.rank(code.field, code.rows_of(y)))
         code_seeds.append(cs)
     return ExperimentReport(cfg, k, r, list_sizes, center_ranks, code_seeds, time.monotonic() - t0)
 

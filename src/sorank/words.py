@@ -4,11 +4,13 @@ A rank-metric codeword lives either as an n x m matrix over GF(q)
 (linearity over GF(q)) or as a length-n vector over GF(q^m) (linearity
 over GF(q^m)).  A vector word's matrix picture expands each coordinate
 over the attached basis of the extension.  A ``LinearCode`` is its k flat
-rows over the field it is linear over; ``rows_of`` and ``flat_of`` map a
-word's flat row to its n x m rows over GF(q) and back.  Word objects are
-built only for single words (``word``): the caller's, the basis and
-``iter_words``.  ``dual`` and ``parity_check`` read one kernel, computed
-once per code.
+rows over the field it is linear over.  A word enters a code one way, as
+its flat row over that field (``flat``, the inverse of ``word``), and is
+checked one way, by its ``syndrome`` against the code's ``kernel`` over
+that field; ``rows_of`` reads a flat row as n x m rows over GF(q) wherever
+a rank is taken.  Word objects are built only for single words (``word``):
+the caller's, the basis and ``iter_words``.  ``dual``, ``syndrome`` and
+``parity_check`` read one kernel, computed once per code.
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ class MatrixWord:
     def flatten(self):
         return tuple(v for row in self.entries for v in row)
 
-    @classmethod
-    def from_flat(cls, flat, field, n, m):
-        if len(flat) != n * m:
-            raise ParamError(f"flat word of length {len(flat)} for a {n} x {m} matrix")
-        return cls(tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n)), field)
-
 
 @dataclass(frozen=True)
 class VectorWord:
@@ -73,6 +69,8 @@ class VectorWord:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
+        if not isinstance(self.field, ExtField):
+            raise ParamError(f"vector word over {self.field!r}, which is no extension field")
         if len(self.coords) == 0:
             raise ParamError("empty vector word")
         o = self.field.order
@@ -119,9 +117,9 @@ class LinearCode:
     GF(q)-linear, each row a row-major n x m matrix; a vector code is
     GF(q^m)-linear over ``ext``, each row a length-n vector.  ``k == 0`` is
     the zero code.  Words are built on demand only: ``basis`` on first use.
-    ``syndrome`` maps n x m rows over GF(q) to their syndrome against
-    ``parity_check``, zero exactly on the code, and ``contains`` tests a
-    word by it."""
+    ``flat`` reads a word in either picture as its flat row, ``syndrome``
+    maps a flat row to its dot products with the ``kernel``, zero exactly on
+    the code, and ``contains`` tests a word by it."""
 
     rows: tuple
     field: Field | ExtField = dc_field(repr=False)  # GF(q), as field_from_q(q) builds it
@@ -167,8 +165,10 @@ class LinearCode:
 
     def word(self, row):
         """The word whose flat row over the linearity field is ``row``."""
+        if len(row) != self.width:
+            raise ParamError(f"flat word of length {len(row)} for a {self.repr} code of width {self.width}")
         if self.ext is None:
-            return MatrixWord.from_flat(row, self.field, self.n, self.m)
+            return MatrixWord(self.rows_of(row), self.field)
         return VectorWord(row, self.ext)
 
     def rows_of(self, flat):
@@ -179,10 +179,26 @@ class LinearCode:
             return [flat[i * self.m : (i + 1) * self.m] for i in range(self.n)]
         return [self.ext.coords(c) for c in flat]
 
-    def flat_of(self, rows):
-        """The flat row over the linearity field of the word with n x m rows
-        ``rows`` over GF(q), the inverse of ``rows_of``: the rows joined for a
-        matrix code, each row dotted with ``ext.basis`` for a vector code."""
+    def flat(self, word):
+        """The flat row over the linearity field of a word in either picture,
+        the inverse of ``word``: a vector word's coordinates for a vector
+        code, and otherwise its n x m rows over GF(q) (a vector word's read
+        over its own basis), joined for a matrix code or each dotted with
+        ``ext.basis``.  Another field or shape raises ParamError."""
+        if isinstance(word, MatrixWord):
+            if word.field.order != self.q:
+                raise ParamError(f"word over {word.field!r} for a code over GF({self.q})")
+            if (word.n, word.m) != (self.n, self.m):
+                raise ParamError("dimension mismatch")
+            rows = word.entries
+        else:
+            if (word.field.q, word.field.m) != (self.q, self.m):
+                raise ParamError(f"word over {word.field!r} for a code over GF({self.q}^{self.m})")
+            if word.n != self.n:
+                raise ParamError("dimension mismatch")
+            if self.ext is not None:
+                return list(word.coords)
+            rows = [word.field.coords(c) for c in word.coords]
         if self.ext is None:
             return [v for row in rows for v in row]
         return [linalg.dot(self.ext, row, self.ext.basis) for row in rows]
@@ -207,18 +223,13 @@ class LinearCode:
 
     @cached_property
     def parity_check(self):
-        """Rows over GF(q) whose dot products with the flattened (row-major)
-        n x m matrix X all vanish exactly when X lies in the code, read off
-        the kernel: its rows for a matrix code.
-
-        A vector code is read in its matrix picture over the attached basis
-        beta_1..beta_m, the one ``matrix_rows`` expands over: x_i is
-        sum_j X_ij beta_j.  For each kernel row h over GF(q^m),
-        h . x = sum_ij X_ij (h_i beta_j) vanishes iff each of its m base-q
-        digits does, and digit t gives the GF(q) row
-        [digit_t(h_i beta_j)]_ij.  The kernel needs one elimination over
-        GF(q^m) on n columns instead of one over GF(q) on nm columns.
-        """
+        """Rows over GF(q) whose dot products with a word's row-major n x m
+        rows over GF(q) (``rows_of``) all vanish exactly when it lies in the
+        code, for the lattice route's row spaces (m < n); ``syndrome`` reads
+        the kernel.  That is the kernel for a matrix code.  For a vector
+        code, x_i is sum_j X_ij beta_j over the attached basis, and h . x =
+        sum_ij X_ij (h_i beta_j) vanishes iff each of its m base-q digits
+        does: digit t of kernel row h gives the row [digit_t(h_i beta_j)]_ij."""
         if self.ext is None:
             return self.kernel
         ext = self.ext
@@ -228,34 +239,16 @@ class LinearCode:
             rows.extend(tuple(d[t] for d in digits) for t in range(self.m))
         return tuple(rows)
 
-    def matrix_rows(self, word):
-        """The n x m rows over GF(q) that ``parity_check`` reads for a word in
-        either representation: a matrix word's entries, or a vector word's
-        coordinates over the code's attached basis (over the word's own for a
-        matrix code).  A word over another GF(q) or GF(q^m), or of another
-        shape, raises ParamError."""
-        if isinstance(word, MatrixWord):
-            if word.field.order != self.field.order:
-                raise ParamError(f"word over {word.field!r} for a code over GF({self.q})")
-            rows = word.entries
-        else:
-            if (word.field.q, word.field.m) != (self.q, self.m):
-                raise ParamError(f"word over {word.field!r} for a code over GF({self.q}^{self.m})")
-            rows = [(self.ext or word.field).coords(c) for c in word.coords]
-        if (len(rows), len(rows[0])) != (self.n, self.m):
-            raise ParamError("dimension mismatch")
-        return rows
-
-    def syndrome(self, rows):
-        """The syndrome of checked n x m rows over GF(q) (``matrix_rows``
-        checks them), the tuple of ``parity_check`` dot products: equal for
-        two words iff their difference is in the code."""
-        x = list(itertools.chain.from_iterable(rows))
-        return tuple([linalg.dot(self.field, h, x) for h in self.parity_check])
+    def syndrome(self, flat):
+        """The syndrome of a flat row over the linearity field, the tuple of
+        its ``kernel`` dot products over that field: equal for two words iff
+        their difference is in the code."""
+        F = self.lin_field()
+        return tuple([linalg.dot(F, h, flat) for h in self.kernel])
 
     def contains(self, word):
-        """Membership of a word in either representation: a zero syndrome."""
-        return not any(self.syndrome(self.matrix_rows(word)))
+        """Membership of a word in either picture: a zero syndrome."""
+        return not any(self.syndrome(self.flat(word)))
 
 
 def dual(code: LinearCode) -> LinearCode:

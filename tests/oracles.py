@@ -110,7 +110,7 @@ def rank_distribution(code):
     codeword (desk scale only)."""
     counts = [0] * (min(code.n, code.m) + 1)
     for w in code.iter_words():
-        counts[linalg.rank(code.field, code.matrix_rows(w))] += 1
+        counts[linalg.rank(code.field, code.rows_of(code.flat(w)))] += 1
     return counts
 
 

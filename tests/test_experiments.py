@@ -238,18 +238,35 @@ PICTURE_CASES = {**MATRIX_CASES, **VECTOR_CASES}
 
 
 @pytest.mark.parametrize("case", PICTURE_CASES.values(), ids=PICTURE_CASES.keys())
-def test_rows_of_and_flat_of_map_the_pictures(case):
+def test_rows_of_and_flat_map_the_pictures(case):
     """For every codeword x, a flat row over the linearity field, ``rows_of``
-    gives the n x m rows ``matrix_rows`` reads off its word (over the
-    attached basis for a vector code), and ``flat_of`` gives x back."""
+    gives its matrix picture (``vec_to_mat`` of its word, over the attached
+    basis, for a vector code), and ``flat`` gives x back from its word in
+    either picture (``mat_to_vec`` over GF(q^m) for a matrix code)."""
     *params, _ = case
     code = _random_code(*params, random.Random(47))
     F, rows = code.lin_field(), code.rows or [(0,) * code.width]
     for coeffs in itertools.product(range(F.order), repeat=code.k):
         x = linalg.combine(F, coeffs, rows)
-        pictured = code.rows_of(x)
-        assert list(map(tuple, pictured)) == list(map(tuple, code.matrix_rows(code.word(x))))
-        assert list(code.flat_of(pictured)) == x
+        w = code.word(x)
+        if code.repr == "matrix":
+            matrix, other = w, mat_to_vec(w, ext_field(code.q, code.m))
+        else:
+            matrix = other = vec_to_mat(w)
+        assert list(map(tuple, code.rows_of(x))) == list(matrix.entries)
+        assert code.flat(w) == code.flat(other) == x
+
+
+@pytest.mark.parametrize("case", PICTURE_CASES.values(), ids=PICTURE_CASES.keys())
+def test_syndrome_is_zero_exactly_on_the_code(case):
+    """Over every flat row y, the syndrome vanishes exactly when y is one of
+    the codewords, listed by combining the code's rows."""
+    *params, _ = case
+    code = _random_code(*params, random.Random(53))
+    F, rows = code.lin_field(), code.rows or [(0,) * code.width]
+    codewords = {tuple(linalg.combine(F, c, rows)) for c in itertools.product(range(F.order), repeat=code.k)}
+    for y in itertools.product(range(F.order), repeat=code.width):
+        assert (not any(code.syndrome(y))) == (y in codewords), (code.rows, y)
 
 
 def _span_words(F, words):
@@ -415,22 +432,23 @@ def _forced_ball_route_cases(q, side, limit, rng):
 def _check_forced_ball_route(q, side, limit, code_scan, monkeypatch):
     """list_size_at on the lattice route (a ball size of 0 sends it there)
     equals the word-by-word syndrome match over the ball's words and
-    ``code_scan(code, center_rows)``, a list of the ranks of center - c over
-    the codewords c (None to skip it); returns the number of cases."""
+    ``code_scan(code, y)``, a list of the ranks of y - c for the center's
+    flat row y over the codewords c (None to skip it); returns the number of
+    cases."""
     monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: 0)
     rng, words, cases = random.Random(43), {}, 0
     for code, centers, radii in _forced_ball_route_cases(q, side, limit, rng):
-        rows = [code.matrix_rows(y) for y in centers]
-        dists = [code_scan(code, y_rows) for y_rows in rows]
+        flats = [code.flat(y) for y in centers]
+        dists = [code_scan(code, y) for y in flats]
         for r in radii:
             key = code.n, code.m, r
             if key not in words:
                 words[key] = list(ball_words(code.field, *key))
-            syndromes = [code.syndrome(e) for e in words[key]]
-            for y, y_rows, d in zip(centers, rows, dists):
+            syndromes = [code.syndrome(list(itertools.chain.from_iterable(e))) for e in words[key]]
+            for y, flat, d in zip(centers, flats, dists):
                 got = list_size_at(code, y, r)
-                assert got == syndromes.count(code.syndrome(y_rows)), (code.n, code.m, code.rows, y_rows, r)
-                assert d is None or got == sum(rk <= r for rk in d), (code.n, code.m, code.rows, y_rows, r)
+                assert got == syndromes.count(code.syndrome(flat)), (code.n, code.m, code.rows, flat, r)
+                assert d is None or got == sum(rk <= r for rk in d), (code.n, code.m, code.rows, flat, r)
                 cases += 1
     return cases
 
@@ -452,7 +470,7 @@ def test_gf2_ball_route_matches_word_match_and_code_scan(monkeypatch):
     entry (i, j)), off one table per shape."""
     ranks = {}
 
-    def code_scan(code, rows):
+    def code_scan(code, flat):
         n, m = code.n, code.m
         if (n, m) not in ranks:
             ranks[n, m] = [_gf2_rank([x >> (i * m) & ((1 << m) - 1) for i in range(n)]) for x in range(1 << n * m)]
@@ -460,7 +478,7 @@ def test_gf2_ball_route_matches_word_match_and_code_scan(monkeypatch):
         codewords = [0]
         for g in map(mask, code.rows):
             codewords += [c ^ g for c in codewords]
-        y = mask(itertools.chain.from_iterable(rows))
+        y = mask(flat)
         return [ranks[n, m][y ^ c] for c in codewords]
 
     assert _check_forced_ball_route(2, 4, SPELL_OUT_LIMIT, code_scan, monkeypatch) == 729
@@ -474,10 +492,9 @@ def test_odd_and_gf4_ball_route_matches_word_match_and_code_scan(q, monkeypatch)
     the code scan lists the codes of at most 1,024 words."""
     F = field_from_q(q)
 
-    def code_scan(code, rows):
+    def code_scan(code, y):
         if q**code.k > 1024:
             return None
-        y = list(itertools.chain.from_iterable(rows))
         codewords = (linalg.combine(F, c, code.rows, [0] * code.width) for c in itertools.product(range(q), repeat=code.k))
         diffs = ([F.sub(a, b) for a, b in zip(y, c)] for c in codewords)
         return [linalg.rank(F, [d[i * code.m : (i + 1) * code.m] for i in range(code.n)]) for d in diffs]
@@ -550,7 +567,7 @@ def test_contains_matches_solve_in_span(case):
     shifted = [code.word([L.add(a, b) for a, b in zip(flat(x), flat(c))]) for x, c in zip(outside, inside)]
     for x, y in [*zip(outside, outside[1:]), *zip(outside, shifted)]:
         diff = [L.sub(a, b) for a, b in zip(flat(x), flat(y))]
-        same = code.syndrome(code.matrix_rows(x)) == code.syndrome(code.matrix_rows(y))
+        same = code.syndrome(code.flat(x)) == code.syndrome(code.flat(y))
         assert same == (solve_in_span(L, code.rows, diff) is not None)
     with pytest.raises(ParamError):
         code.contains(zero_word(code.field, code.n, code.m + 1))

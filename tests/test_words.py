@@ -135,7 +135,7 @@ def test_bilinearity_of_inner_products():
     for _ in range(500):
         a, b = rng.randrange(3), rng.randrange(3)
         X, Y, Z = (_random_mw(F3, 2, 2, rng) for _ in range(3))
-        aXbY = MatrixWord.from_flat(linalg.combine(F3, (a, b), (X.flatten(), Y.flatten())), F3, 2, 2)
+        aXbY = MatrixWord([linalg.combine(F3, (a, b), rows) for rows in zip(X.entries, Y.entries)], F3)
         lhs = trace_inner_product(aXbY, Z)
         rhs = F3.add(F3.mul(a, trace_inner_product(X, Z)), F3.mul(b, trace_inner_product(Y, Z)))
         assert lhs == rhs
@@ -232,7 +232,7 @@ def test_code_rows_are_checked():
     C = LinearCode(rows, F2, 2, 3)
     assert C == LinearCode(tuple(tuple(r) for r in rows), F2, 2, 3) and hash(C) == hash(LinearCode(C.rows, F2, 2, 3))
     assert C.rows == ((1, 0, 1, 1, 0, 0), (0, 1, 0, 0, 1, 1)) and C.width == 6 and C.lin_field() is F2
-    assert C.repr == "matrix" and C.basis == tuple(MatrixWord.from_flat(r, F2, 2, 3) for r in rows)
+    assert C.repr == "matrix" and C.basis == tuple(MatrixWord((r[:3], r[3:]), F2) for r in rows)
     E = ext_field(2, 2)
     V = LinearCode([(1, 2, 3)], F2, 3, 2, ext=E)
     assert V.rows == ((1, 2, 3),) and V.width == 3 and V.lin_field() is E
@@ -348,8 +348,10 @@ def test_load_code_rejects_a_nonpositive_n(n):
 # Each argument check with the error class it raises.
 BAD_ARGUMENTS = {
     "empty-matrix-word": (lambda: MatrixWord((), F2), ParamError),
-    "flat-word-of-wrong-length": (lambda: MatrixWord.from_flat((0, 1, 0), F2, 2, 2), ParamError),
+    "flat-word-of-wrong-length": (lambda: LinearCode([], F2, 2, 2).word((0, 1, 0)), ParamError),
+    "flat-vector-word-of-wrong-length": (lambda: LinearCode([], F2, 2, 2, ext_field(2, 2)).word((1, 2, 3)), ParamError),
     "empty-vector-word": (lambda: VectorWord((), ext_field(2, 2)), ParamError),
+    "vector-word-over-a-prime-field": (lambda: VectorWord((1, 2), F3), ParamError),
     "mixed-representations": (
         lambda: rank_distance(zero_word(F2, 2, 2), VectorWord((0, 0), ext_field(2, 2))),
         ParamError,
