@@ -8,6 +8,8 @@ desk-scale sizes this toolkit works at make asymptotics irrelevant.
 
 from __future__ import annotations
 
+import bisect
+
 
 def dot(F, u, v):
     """sum_i u_i v_i over F, for equal-length sequences."""
@@ -87,6 +89,40 @@ def rref(F, rows):
                     if row_r[j]:
                         row_i[j] = sub(row_i[j], mul(f, row_r[j]))
     return M, pivots
+
+
+def extend_rref(F, R, pivots, x):
+    """Fold x into ``(R, pivots)``, the RREF of independent rows, in place.
+    x lies in their span iff its residual x - sum_i x[p_i] R[i] is zero:
+    then False, with both unchanged.  Otherwise the residual, scaled to 1 at
+    its first nonzero column c, is cleared from column c of the other rows
+    and inserted in pivot order, which is ``rref`` of the rows and x, a row
+    space's RREF being unique; True."""
+    sub, mul = F.sub, F.mul
+    r = list(x)
+    ncols = len(r)
+    for p, row in zip(pivots, R):
+        f = r[p]
+        if f:
+            for j in range(p, ncols):
+                if row[j]:
+                    r[j] = sub(r[j], mul(f, row[j]))
+    c = next((j for j, v in enumerate(r) if v), None)
+    if c is None:
+        return False
+    piv = F.inv(r[c])
+    if piv != 1:
+        r = [mul(piv, v) for v in r]
+    for row in R:
+        f = row[c]
+        if f:
+            for j in range(c, ncols):
+                if r[j]:
+                    row[j] = sub(row[j], mul(f, r[j]))
+    at = bisect.bisect(pivots, c)
+    R.insert(at, r)
+    pivots.insert(at, c)
+    return True
 
 
 def pivots(F, rows):

@@ -246,8 +246,9 @@ def sample_root(f, rng, nonzero=False, exhaustive_limit=EXHAUSTIVE_SAMPLE_LIMIT)
         if not roots:
             raise ParamError("no root exists" + (" (nonzero)" if nonzero else ""))
         return roots[rng.randrange(len(roots))]
+    randrange, N = rng.randrange, f.nvars
     for _ in range(SAMPLE_BUDGET):
-        x = tuple(rng.randrange(o) for _ in range(f.nvars))
+        x = tuple([randrange(o) for _ in range(N)])
         if nonzero and not any(x):
             continue
         if f.evaluate(x) == 0:

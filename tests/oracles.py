@@ -11,10 +11,10 @@ import operator
 from collections import Counter
 from fractions import Fraction
 
-from sorank import linalg
+from sorank import construct, linalg
 from sorank.balls import ENUM_LIMIT, ball_size_exact, gaussian_binomial, iter_rref
-from sorank.errors import ParamError, SizeError
-from sorank.quadforms import QuadraticForm
+from sorank.errors import BudgetError, ParamError, SizeError
+from sorank.quadforms import QuadraticForm, sample_root, sum_of_squares
 from sorank.words import MatrixWord, VectorWord, dual
 
 
@@ -322,3 +322,33 @@ def code_star_law(F, D, k):
                 code = span_key(F, rows)
                 law[code] = law.get(code, 0) + step
     return law
+
+
+def outside_span_by_rank(F, rows, draw):
+    """The first word ``draw()`` returns that lies outside the span of the
+    independent ``rows``, tested by the rank of rows + [x]: a forward
+    elimination of every row per candidate, with the construction's budget."""
+    for _ in range(construct.STEP_BUDGET):
+        x = draw()
+        if linalg.is_independent(F, rows + [x]):
+            return x
+    raise BudgetError(f"step {len(rows) + 1}: budget exhausted")
+
+
+def so_flat_vectors_by_nullspace(F, D, k, rng):
+    """``construct.so_flat_vectors`` step by step from the accepted rows
+    alone: each step takes the ``nullspace`` basis B of those rows, folds the
+    full Gram matrix of B into the restricted form, maps a nonzero root y of
+    it back as ``combine(y, B)`` and checks the span by rank.  The draws are
+    those of the construction, so the rows and the RNG state must agree."""
+    limit = construct._ROOT_EXHAUSTIVE_LIMIT
+    found = [list(sample_root(sum_of_squares(F, D), rng, nonzero=True, exhaustive_limit=limit))]
+    while len(found) < k:
+        B = linalg.nullspace(F, found)
+        g = from_full_matrix(F, [[linalg.dot(F, s, t) for t in B] for s in B])
+
+        def draw():
+            return linalg.combine(F, sample_root(g, rng, nonzero=True, exhaustive_limit=limit), B)
+
+        found.append(outside_span_by_rank(F, found, draw))
+    return found

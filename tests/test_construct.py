@@ -9,7 +9,9 @@ from oracles import (
     code_star_law,
     from_full_matrix,
     is_contained_in_dual,
+    outside_span_by_rank,
     so_code_law,
+    so_flat_vectors_by_nullspace,
     solve_in_span,
     span_key,
     trace_inner_product,
@@ -221,9 +223,10 @@ def test_budget_errors_name_their_parameters(monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_restricted_form_is_the_folded_gram(q):
-    # Only the upper triangle of the Gram matrix is computed, and in
-    # characteristic 2 only its diagonal; folding the full Gram matrix must
-    # give the same coefficients.
+    # The form and its lift are read off the RREF of the accepted rows, only
+    # the upper triangle of the Gram matrix and in characteristic 2 only its
+    # diagonal; folding the full Gram matrix of the nullspace basis must give
+    # the same coefficients, and combining that basis the same lift.
     F = field_from_q(q)
     rng = random.Random(q)
     for D in (3, 5, 8, 11):
@@ -232,7 +235,85 @@ def test_restricted_form_is_the_folded_gram(q):
             for j in range(1, len(found) + 1):
                 B = linalg.nullspace(F, found[:j])
                 gram = [[linalg.dot(F, s, t) for t in B] for s in B]
-                assert construct._restricted_form(F, B).coeffs == from_full_matrix(F, gram).coeffs
+                g, lift = construct._restricted_form(F, *linalg.rref(F, found[:j]))
+                assert g.coeffs == from_full_matrix(F, gram).coeffs
+                for _ in range(3):
+                    y = [rng.randrange(q) for _ in B]
+                    assert lift(y) == linalg.combine(F, y, B)
+
+
+def _criterion_4_points(q):
+    """(F, D, k) for every point of the criterion-4 sweep over GF(q): n x m
+    matrices with n <= m and nm <= 16, and vectors of length n <= 8 over
+    GF(q^2) and GF(q^3), each k from 1 to (D - 1) / 2."""
+    field = field_from_q(q)
+    spaces = [(field, n * m) for n in range(1, 17) for m in range(n, 17) if n * m <= 16]
+    spaces += [(ext_field(q, m), n) for m in (2, 3) for n in range(1, 9)]
+    return [(F, D, k) for F, D in spaces for k in range(1, max_so_dimension(D) + 1)]
+
+
+def _assert_same_draws(build, reference, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert [list(row) for row in build(rng)] == reference(ref)
+    assert rng.getstate() == ref.getstate()
+
+
+BALL_ROUTE_POINTS = [(F2, 24, 11), (ext_field(2, 5), 5, 2)]  # GF(2) 3 x 8, k = 11; GF(32), n = 5, k = 2
+
+
+@pytest.mark.parametrize(
+    "points",
+    [pytest.param(_criterion_4_points(q), id=f"criterion-4-q{q}") for q in (2, 3, 4)]
+    + [pytest.param(BALL_ROUTE_POINTS, id="ball-route")],
+)
+def test_so_flat_vectors_match_the_nullspace_step(points):
+    # The echelon-basis step against the step it replaced (nullspace basis,
+    # full Gram matrix, combine, span check by rank): the same rows from the
+    # same draws, on every criterion-4 point and both ball-route shapes.
+    for F, D, k in points:
+        for seed in range(5):
+            _assert_same_draws(
+                lambda rng: so_flat_vectors(F, D, k, rng), lambda rng: so_flat_vectors_by_nullspace(F, D, k, rng), seed
+            )
+
+
+def _code_star_by_nullspace(F, D, k, rng):
+    rows = so_flat_vectors_by_nullspace(F, D, k - 1, rng) if k >= 2 else []
+    rows.append(outside_span_by_rank(F, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
+    return rows
+
+
+def _uniform_linear_by_rank(F, D, k, rng):
+    rows = []
+    while len(rows) < k:
+        rows.append(outside_span_by_rank(F, rows, lambda: [rng.randrange(F.order) for _ in range(D)]))
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize(
+    "ensemble, reference",
+    [(sample_code_star, _code_star_by_nullspace), (uniform_linear_code, _uniform_linear_by_rank)],
+    ids=["code-star", "uniform-linear"],
+)
+def test_ensembles_match_the_span_check_by_rank(ensemble, reference, q):
+    # Matrix codes up to half (code-star) or all (uniform) of the ambient
+    # dimension, where words inside the span are drawn often, and vector
+    # codes over GF(q^2).
+    field = field_from_q(q)
+    ext = ext_field(q, 2)
+    shapes = [(1, 2, None), (2, 2, None), (2, 3, None), (4, 2, ext)]
+    for n, m, e in shapes:
+        repr = "matrix" if e is None else "vector"
+        F, D = flat_space(repr, field, e, n, m)
+        top = D // 2 if ensemble is sample_code_star else D
+        for k in range(1, top + 1):
+            for seed in range(3):
+                _assert_same_draws(
+                    lambda rng: ensemble(field, n, m, k, rng, repr=repr, ext=e).rows,
+                    lambda rng: reference(F, D, k, rng),
+                    seed,
+                )
 
 
 def _closed_form_law(F, D, codes):

@@ -143,3 +143,33 @@ def test_pivots_are_the_pivots_of_rref(F):
     rng = random.Random(31)
     for M in _rref_cases(F, rng):
         assert linalg.pivots(F, M) == linalg.rref(F, M)[1]
+
+
+@pytest.mark.parametrize("F", [_gf(q) for q in (2, 3, 4, 9)])
+def test_extend_rref_is_the_rref_of_the_rows_taken(F):
+    # Words are uniform, zero, repeats of a taken row or combinations of the
+    # taken rows.  extend_rref takes exactly those outside the span so far,
+    # after which (R, pivots) is rref of the rows taken; a word inside the
+    # span leaves both as they were.
+    rng = random.Random(37)
+    for _ in range(60):
+        D = rng.randrange(1, 8)
+        taken, R, pivots = [], [], []
+        for _ in range(2 * D + 2):
+            kind = rng.randrange(4) if taken else rng.randrange(2)
+            if kind == 0:
+                x = [rng.randrange(F.order) for _ in range(D)]
+            elif kind == 1:
+                x = [0] * D
+            elif kind == 2:
+                x = list(rng.choice(taken))
+            else:
+                x = linalg.combine(F, [rng.randrange(F.order) for _ in taken], taken)
+            inside = solve_in_span(F, taken, x) is not None
+            before = ([list(row) for row in R], list(pivots))
+            assert linalg.extend_rref(F, R, pivots, x) is not inside
+            if inside:
+                assert (R, pivots) == before
+            else:
+                taken.append(x)
+                assert (R, pivots) == linalg.rref(F, taken)
