@@ -78,17 +78,17 @@ def trial_rng(seed, trial):
 # -- exact list size --------------------------------------------------------
 
 
-def list_size_at(code: LinearCode, center, r: int) -> int:
-    """|B_R(center, r) cap code| for a center in either picture, read once
-    as its flat row y over the linearity field by ``code.flat``.  The code
-    scan, when the code has at most as many words as the ball and at most
-    ENUM_LIMIT, counts the coefficient tuples c over the linearity field
-    with rank(y + c . rows) <= r (C = -C), each sum read as its n x m rows
-    over GF(q) by ``rows_of``.  Otherwise the lattice route sums
-    c_W * f(W) over ``enumerate_ball``'s terms, where f(W) counts the words
-    X of y + C whose space lies in W: the solutions of one linear system
-    (see ``_lattice_checks``)."""
-    y = code.flat(center)
+def list_size_at(code: LinearCode, y, r: int) -> int:
+    """|B_R(y, r) cap code| for a center given as its flat row y over the
+    linearity field (``code.flat`` of a word; ParamError for a row that does
+    not fit).  The code scan, when the code has at most as many words as the
+    ball and at most ENUM_LIMIT, counts the coefficient tuples c over the
+    linearity field with rank(y + c . rows) <= r (C = -C), each sum read as
+    its n x m rows over GF(q) by ``rows_of``.  Otherwise the lattice route
+    sums c_W * f(W) over ``enumerate_ball``'s terms, where f(W) counts the
+    words X of y + C whose space lies in W: the solutions of one linear
+    system (see ``_lattice_checks``)."""
+    code.check_row(y)
     F = code.lin_field()
     if F.order**code.k <= min(ball_size_exact(code.n, code.m, code.q, r), ENUM_LIMIT):
         flats = (linalg.combine(F, c, code.rows, y) for c in itertools.product(range(F.order), repeat=code.k))
@@ -229,7 +229,7 @@ def max_list_size_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rng = random.Random(cs)
         code = _draw_code(cfg, k, rng)
         y = [rng.randrange(code.lin_field().order) for _ in range(code.width)]
-        list_sizes.append(list_size_at(code, code.word(y), r))
+        list_sizes.append(list_size_at(code, y, r))
         center_ranks.append(linalg.rank(code.field, code.rows_of(y)))
         code_seeds.append(cs)
     return ExperimentReport(cfg, k, r, list_sizes, center_ranks, code_seeds, time.monotonic() - t0)
@@ -275,7 +275,7 @@ def span_ball_overlap(field, words, radius):
     code the X_i span, its basis the nonzero rows of their flattened rref."""
     R, pivots = linalg.rref(field, [[v for row in w for v in row] for w in words])
     code = LinearCode(R[: len(pivots)], field, len(words[0]), len(words[0][0]))
-    return list_size_at(code, code.word((0,) * code.width), radius)
+    return list_size_at(code, [0] * code.width, radius)
 
 
 def lemma47_event_estimate(q, n, m, tau, ell, C_ratio, trials, seed) -> EventEstimate:

@@ -255,31 +255,18 @@ class _PackedField:
 class ExtField(_PackedField):
     """GF(q^m) built on a base field GF(q), a ``Field`` or another ``ExtField``.
 
-    Elements encode their coefficients base q over the polynomial basis of
-    the deterministic modulus, which (q, m) alone fixes.  Another basis may
-    be attached for coordinate maps; the default is the polynomial basis.
+    Elements encode their coefficients base q over the polynomial basis
+    ``basis`` of the deterministic modulus, which (q, m) alone fixes; an
+    element's coordinates are its digits (``to_digits``).
     """
 
-    def __init__(self, base, m, basis=None):
+    def __init__(self, base, m):
         super().__init__(base, m)
-        poly = tuple(self.q**i for i in range(m))
-        basis = poly if basis is None else tuple(basis)
-        if len(basis) != m or any(not 0 <= b < self.order for b in basis):
-            raise ParamError("basis is not an F_q-basis of the extension")
-        # Column j holds the digits of basis[j]; its inverse maps digits to
-        # coordinates, and inverting it is what validates the basis.
-        M = [[self.to_digits(b)[i] for b in basis] for i in range(m)]
-        try:
-            inverse = linalg.invert_matrix(base, M)
-        except ValueError:
-            raise ParamError("basis is not an F_q-basis of the extension") from None
-        self.basis = basis
+        self.basis = poly = tuple(self.q**i for i in range(m))
         # tr(b) is the matrix trace of y -> b y: the sum over j of digit j of b x^j.
         self._poly_traces = [
             reduce(base.add, (self.to_digits(self.mul(b, c))[j] for j, c in enumerate(poly))) for b in poly
         ]
-        # None for the polynomial basis: its coordinates are the digits.
-        self._digits_to_coords = None if basis == poly else inverse
 
     def __repr__(self):
         return f"ExtField(GF({self.q}^{self.m})/GF({self.q}))"
@@ -288,13 +275,6 @@ class ExtField(_PackedField):
         """Field trace down to GF(q), a GF(q)-linear functional: the dot of
         x's digits with the traces of the polynomial basis."""
         return linalg.dot(self.base, self.to_digits(x), self._poly_traces)
-
-    def coords(self, x):
-        """Expansion of x over the attached basis."""
-        ds = self.to_digits(x)
-        if self._digits_to_coords is None:
-            return tuple(ds)
-        return tuple(linalg.dot(self.base, row, ds) for row in self._digits_to_coords)
 
     def gram(self, basis):
         """Trace Gram matrix [tr(b_i b_j)] over GF(q)."""

@@ -160,12 +160,3 @@ def nullspace(F, rows):
         basis.append(v)
     return basis
 
-
-def invert_matrix(F, rows):
-    """Inverse of a square matrix; raises ValueError if singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    R, pivots = rref(F, aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [R[i][n:] for i in range(n)]

@@ -3,14 +3,15 @@
 A rank-metric codeword lives either as an n x m matrix over GF(q)
 (linearity over GF(q)) or as a length-n vector over GF(q^m) (linearity
 over GF(q^m)).  A vector word's matrix picture expands each coordinate
-over the attached basis of the extension.  A ``LinearCode`` is its k flat
-rows over the field it is linear over.  A word enters a code one way, as
-its flat row over that field (``flat``, the inverse of ``word``), and is
-checked one way, by its ``syndrome`` against the code's ``kernel`` over
-that field; ``rows_of`` reads a flat row as n x m rows over GF(q) wherever
-a rank is taken.  Word objects are built only for single words (``word``):
-the caller's, the basis and ``iter_words``.  ``dual``, ``syndrome`` and
-``parity_check`` read one kernel, computed once per code.
+into its digits (``to_digits``), the extension's one coordinate map.  A
+``LinearCode`` is its k flat rows over the field it is linear over.  A word
+enters a code one way, as its flat row over that field (``flat``, the
+inverse of ``word``), and is checked one way, by its ``syndrome`` against
+the code's ``kernel`` over that field; ``check_row`` rejects a row of
+another width or field, and ``rows_of`` reads a flat row as n x m rows over
+GF(q) wherever a rank is taken.  Word objects are built only for single
+words (``word``): the caller's, the basis and ``iter_words``.  ``dual``,
+``syndrome`` and ``parity_check`` read one kernel, computed once per code.
 """
 
 from __future__ import annotations
@@ -84,8 +85,7 @@ class VectorWord:
 
 def rank_distance(X, Y):
     """rank(X - Y) over GF(q); also accepts vector words, subtracted over
-    GF(q^m) and their difference expanded once into its polynomial-basis
-    digits: rank does not depend on the basis."""
+    GF(q^m) and their difference expanded once into its digits."""
     matrix = isinstance(X, MatrixWord)
     if matrix != isinstance(Y, MatrixWord):
         raise ParamError("mixed representations")
@@ -132,14 +132,12 @@ class LinearCode:
             raise ParamError(f"a code needs n >= 1 and m >= 1, not n={self.n}, m={self.m}")
         if self.ext is not None and (self.ext.q, self.ext.m) != (self.q, self.m):
             raise ParamError(f"{self.ext!r} for a vector code over GF({self.q}) with m={self.m}")
-        F, D = self.lin_field(), self.width
         rows = tuple(map(tuple, self.rows))
         for row in rows:
-            if len(row) != D or any(not 0 <= v < F.order for v in row):
-                raise ParamError(f"basis row does not fit a {self.repr} code of width {D} over {F!r}")
+            self.check_row(row, "basis row")
         object.__setattr__(self, "rows", rows)
-        if rows and not linalg.is_independent(F, rows):
-            raise ParamError(f"basis is linearly dependent over {F!r}")
+        if rows and not linalg.is_independent(self.lin_field(), rows):
+            raise ParamError(f"basis is linearly dependent over {self.lin_field()!r}")
 
     @property
     def repr(self):
@@ -163,10 +161,15 @@ class LinearCode:
         """The field over which the code is linear."""
         return self.field if self.ext is None else self.ext
 
+    def check_row(self, row, what="flat row"):
+        """ParamError unless ``row`` has the code's width and entries in the linearity field."""
+        F, D = self.lin_field(), self.width
+        if len(row) != D or min(row) < 0 or max(row) >= F.order:  # D >= 1, as n, m >= 1
+            raise ParamError(f"{what} does not fit a {self.repr} code of width {D} over {F!r}")
+
     def word(self, row):
         """The word whose flat row over the linearity field is ``row``."""
-        if len(row) != self.width:
-            raise ParamError(f"flat word of length {len(row)} for a {self.repr} code of width {self.width}")
+        self.check_row(row, "flat word")
         if self.ext is None:
             return MatrixWord(self.rows_of(row), self.field)
         return VectorWord(row, self.ext)
@@ -174,17 +177,17 @@ class LinearCode:
     def rows_of(self, flat):
         """The n x m rows over GF(q) of the word whose flat row over the
         linearity field is ``flat``: its row-major slices for a matrix code,
-        each coordinate read over the attached basis for a vector code."""
+        each coordinate's digits for a vector code."""
         if self.ext is None:
             return [flat[i * self.m : (i + 1) * self.m] for i in range(self.n)]
-        return [self.ext.coords(c) for c in flat]
+        return [self.ext.to_digits(c) for c in flat]
 
     def flat(self, word):
         """The flat row over the linearity field of a word in either picture,
         the inverse of ``word``: a vector word's coordinates for a vector
-        code, and otherwise its n x m rows over GF(q) (a vector word's read
-        over its own basis), joined for a matrix code or each dotted with
-        ``ext.basis``.  Another field or shape raises ParamError."""
+        code, and otherwise its n x m rows over GF(q) (a vector word's
+        digits), joined for a matrix code or each dotted with ``ext.basis``.
+        Another field or shape raises ParamError."""
         if isinstance(word, MatrixWord):
             if word.field.order != self.q:
                 raise ParamError(f"word over {word.field!r} for a code over GF({self.q})")
@@ -198,7 +201,7 @@ class LinearCode:
                 raise ParamError("dimension mismatch")
             if self.ext is not None:
                 return list(word.coords)
-            rows = [word.field.coords(c) for c in word.coords]
+            rows = [word.field.to_digits(c) for c in word.coords]
         if self.ext is None:
             return [v for row in rows for v in row]
         return [linalg.dot(self.ext, row, self.ext.basis) for row in rows]
@@ -227,7 +230,7 @@ class LinearCode:
         rows over GF(q) (``rows_of``) all vanish exactly when it lies in the
         code, for the lattice route's row spaces (m < n); ``syndrome`` reads
         the kernel.  That is the kernel for a matrix code.  For a vector
-        code, x_i is sum_j X_ij beta_j over the attached basis, and h . x =
+        code, x_i is sum_j X_ij beta_j over the polynomial basis, and h . x =
         sum_ij X_ij (h_i beta_j) vanishes iff each of its m base-q digits
         does: digit t of kernel row h gives the row [digit_t(h_i beta_j)]_ij."""
         if self.ext is None:
@@ -240,9 +243,10 @@ class LinearCode:
         return tuple(rows)
 
     def syndrome(self, flat):
-        """The syndrome of a flat row over the linearity field, the tuple of
-        its ``kernel`` dot products over that field: equal for two words iff
-        their difference is in the code."""
+        """The syndrome of a flat row over the linearity field (ParamError for
+        one that does not fit), the tuple of its ``kernel`` dot products over
+        that field: equal for two words iff their difference is in the code."""
+        self.check_row(flat)
         F = self.lin_field()
         return tuple([linalg.dot(F, h, flat) for h in self.kernel])
 

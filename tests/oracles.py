@@ -160,31 +160,32 @@ def vector_inner_product(x: VectorWord, y: VectorWord):
 
 
 def from_coords(ext, cs):
-    """The element of ``ext`` with these coordinates over its attached basis."""
+    """The element of ``ext`` with these digits: the inverse of ``to_digits``."""
     return linalg.dot(ext, cs, ext.basis)
 
 
 def mat_to_vec(X: MatrixWord, ext) -> VectorWord:
-    """Row i of X holds the attached-basis coordinates of vector coordinate i."""
+    """Row i of X holds the digits of vector coordinate i."""
     if X.m != ext.m or X.field.order != ext.q:
         raise ParamError("matrix shape does not match the extension")
     return VectorWord(tuple(from_coords(ext, row) for row in X.entries), ext)
 
 
 def vec_to_mat(x: VectorWord) -> MatrixWord:
-    """Each coordinate expanded over the attached basis of its extension."""
-    return MatrixWord(tuple(x.field.coords(c) for c in x.coords), x.field.base)
+    """Each coordinate expanded into its digits."""
+    return MatrixWord(tuple(x.field.to_digits(c) for c in x.coords), x.field.base)
 
 
-def lemma1_pair_identity(a: VectorWord, b: VectorWord):
-    """(tr<a,b>, Tr(A B^T)), with A and B expanded over the basis attached
-    to the words' extension, which must be self-dual; the two must agree."""
+def lemma1_pair_identity(a: VectorWord, b: VectorWord, basis):
+    """(tr<a,b>, Tr(A B^T)), with A and B the matrices of a and b over
+    ``basis``, which must be a self-dual basis of the words' extension:
+    coordinate j of x is tr(x b_j), exact for a self-dual basis.  The two
+    must agree."""
     ext = a.field
-    if not ext.is_self_dual_basis(ext.basis):
+    if not ext.is_self_dual_basis(basis):
         raise ParamError("basis is not self-dual")
-    lhs = ext.trace(vector_inner_product(a, b))
-    rhs = trace_inner_product(vec_to_mat(a), vec_to_mat(b))
-    return lhs, rhs
+    A, B = (MatrixWord([[ext.trace(ext.mul(c, bj)) for bj in basis] for c in w.coords], ext.base) for w in (a, b))
+    return ext.trace(vector_inner_product(a, b)), trace_inner_product(A, B)
 
 
 def digitwise_add(p, a, b, sign=1):

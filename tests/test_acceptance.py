@@ -17,7 +17,7 @@ from sorank import linalg
 from sorank.balls import ball_size_exact, iter_rref, sample_from_ball
 from sorank.construct import max_so_dimension, so_code
 from sorank.experiments import ExperimentConfig, list_size_at, max_list_size_experiment
-from sorank.fields import ExtField, ext_field, field_from_q, find_self_dual_basis, self_dual_basis_exists
+from sorank.fields import ext_field, field_from_q, find_self_dual_basis, self_dual_basis_exists
 from sorank.quadforms import (
     QuadraticForm,
     iter_roots,
@@ -145,13 +145,14 @@ def test_criterion_4_construction_validity(report):
 def test_criterion_5_lemma1_correspondence(report):
     ok = True
     for q, m, n in ((2, 2, 3), (3, 3, 2)):
-        ext = ExtField(field_from_q(q), m, basis=find_self_dual_basis(ext_field(q, m)))
-        ok &= ext.is_self_dual_basis(ext.basis)
+        ext = ext_field(q, m)
+        basis = find_self_dual_basis(ext)
+        ok &= ext.is_self_dual_basis(basis)
         rng = random.Random(500 + q)
         for _ in range(10_000):
             a = VectorWord(tuple(rng.randrange(ext.order) for _ in range(n)), ext)
             b = VectorWord(tuple(rng.randrange(ext.order) for _ in range(n)), ext)
-            lhs, rhs = lemma1_pair_identity(a, b)
+            lhs, rhs = lemma1_pair_identity(a, b, basis)
             ok &= lhs == rhs
     for q in (2, 3, 4, 5):
         for m in range(1, 5):
@@ -177,7 +178,7 @@ def test_criterion_6_list_size_oracle_equivalence(report):
             for r in range(3):
                 via_code = sum(1 for w in code.iter_words() if rank_distance(center, w) <= r)
                 via_ball = sum(1 for e in ball_words(F, 2, 2, r) if code.contains(MatrixWord(translate(center, e), F)))
-                ok &= via_code == via_ball == list_size_at(code, center, r)
+                ok &= via_code == via_ball == list_size_at(code, code.flat(center), r)
     elapsed = time.monotonic() - t0
     report(6, "list-size oracle equivalence", ok and elapsed < 60, f"{len(codes)} codes, {elapsed:.1f}s")
 

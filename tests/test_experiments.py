@@ -44,7 +44,7 @@ from sorank.experiments import (
     trial_seed,
     wilson_interval,
 )
-from sorank.fields import ExtField, ext_field, field_from_q
+from sorank.fields import ext_field, field_from_q
 from sorank.words import LinearCode, MatrixWord, VectorWord, dual, is_self_orthogonal, rank_distance
 
 F2 = field_from_q(2)
@@ -81,21 +81,18 @@ def test_trial_streams_are_deterministic_and_distinct():
 def test_list_size_at_small_oracle():
     # full ambient space code: list size is the whole ball
     full = LinearCode([[1 if i == j else 0 for j in range(4)] for i in range(4)], F2, 2, 2)
-    center = zero_word(F2, 2, 2)
+    center = [0, 0, 0, 0]
     assert list_size_at(full, center, 1) == 10
     assert list_size_at(full, center, 2) == 16
     zero = LinearCode([], F2, 2, 2)
     assert list_size_at(zero, center, 1) == 1
-    assert list_size_at(zero, MatrixWord(((1, 0), (0, 1)), F2), 1) == 0
+    assert list_size_at(zero, [1, 0, 0, 1], 1) == 0
 
 
 # Codes whose list sizes are checked against the code-scan oracle.  Each case
 # is (q, n, m, k, ext, ball_radii): ext is None for a matrix code, else the
 # extension of a vector code (m = ext.m), and ball_radii are exactly the radii
 # at which |C| exceeds the ball, so list_size_at must take the lattice route.
-# 1, x, x+x^2 is no GF(8)-multiple of the polynomial basis, so it changes the
-# matrix picture of a vector code.
-E8_NONPOLY = ExtField(field_from_q(2), 3, basis=(1, 2, 6))
 MATRIX_CASES = {
     "GF2-2x3-k5": (2, 2, 3, 5, None, (0, 1)),
     "GF3-2x3-k5": (3, 2, 3, 5, None, (0, 1)),
@@ -112,8 +109,7 @@ VECTOR_CASES = {
     "GF8-n3-full": (2, 3, 3, 3, ext_field(2, 3), (0, 1, 2)),
     "GF9-n2-k1": (3, 2, 2, 1, ext_field(3, 2), (0,)),
     "GF9-n2-full": (3, 2, 2, 2, ext_field(3, 2), (0, 1)),
-    "GF8-nonpoly-n3-k2": (2, 3, 3, 2, E8_NONPOLY, (0, 1)),
-    "GF8-nonpoly-n2-full": (2, 2, 3, 2, E8_NONPOLY, (0, 1)),
+    "GF8-n2-full": (2, 2, 3, 2, ext_field(2, 3), (0, 1)),
     "GF4-n2-k0": (2, 2, 2, 0, ext_field(2, 2), ()),
 }
 # The benchmark's ball-route shapes: a 3 x 8 matrix code with k = 11 and a
@@ -192,11 +188,11 @@ def _check_routes_agree(case, monkeypatch, seeds=(31,)):
         centers = [_random_word(code, rng) for _ in range(3)] + [rng.choice(words)]
         for c in centers:
             ball_center = vec_to_mat(c) if code.repr == "vector" else c
-            dists = [rank_distance(c, w) for w in words]
+            y, dists = code.flat(c), [rank_distance(c, w) for w in words]
             for r in radii:
                 by_code = sum(d <= r for d in dists)
                 spans.clear()
-                assert list_size_at(code, c, r) == by_code
+                assert list_size_at(code, y, r) == by_code
                 assert (len(words) > ball_size_exact(code.n, code.m, code.q, r)) == (r in ball_radii)
                 assert bool(spans) == (r in ball_radii)
                 ball = (translate(ball_center, e) for e in ball_words(code.field, code.n, code.m, r))
@@ -217,8 +213,21 @@ def test_list_size_routes_build_no_word_per_scanned_word(monkeypatch):
     for (code, center), r in itertools.product(zip(codes, centers), (1, 2)):
         ball_route = ball_size_exact(code.n, code.m, code.q, r) < code.lin_field().order ** code.k
         assert ball_route == (r == 1)
-        list_size_at(code, center, r)
+        list_size_at(code, code.flat(center), r)
         assert len(built) == 0
+
+
+def test_experiments_build_no_word_per_trial(monkeypatch):
+    """A trial hands list_size_at the flat center it drew, and
+    span_ball_overlap the zero row: neither builds a word."""
+    built = []
+    for cls in (MatrixWord, VectorWord):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(self) or f(self))
+    for repr_ in ("matrix", "vector"):
+        max_list_size_experiment(ExperimentConfig(2, 2, 4, 0.5, 0.1, 20, seed=3, repr=repr_))
+    span_ball_overlap(F2, [((1, 0), (0, 1)), ((0, 1), (1, 1))], 1)
+    assert built == []
 
 
 @pytest.mark.parametrize("case", TALL_VECTOR_CASES.values(), ids=TALL_VECTOR_CASES.keys())
@@ -231,7 +240,7 @@ def test_list_size_tall_vector_codes(case):
     for c in centers:
         dists = [rank_distance(c, w) for w in words]
         for r in range(code.n + 1):
-            assert list_size_at(code, c, r) == sum(d <= r for d in dists)
+            assert list_size_at(code, code.flat(c), r) == sum(d <= r for d in dists)
 
 
 PICTURE_CASES = {**MATRIX_CASES, **VECTOR_CASES}
@@ -328,12 +337,12 @@ def _macwilliams_holds(code):
 
 def _macwilliams_codes():
     """The criterion-6 grid (every GF(2)-linear code of 2 x 2 matrices with
-    k <= 2), every GF(8)-linear code of length 3 over the non-polynomial
-    basis, and one random code of each matrix and vector case shape."""
-    rng = random.Random(53)
+    k <= 2), every GF(8)-linear code of length 3, and one random code of each
+    matrix and vector case shape."""
+    rng, E8 = random.Random(53), ext_field(2, 3)
     return [
         *(LinearCode(rows, F2, 2, 2) for k in (0, 1, 2) for rows in iter_rref(F2, k, 4)),
-        *(LinearCode(rows, F2, 3, 3, E8_NONPOLY) for k in range(4) for rows in iter_rref(E8_NONPOLY, k, 3)),
+        *(LinearCode(rows, F2, 3, 3, E8) for k in range(4) for rows in iter_rref(E8, k, 3)),
         *(_random_code(*case[:-1], rng) for case in (*MATRIX_CASES.values(), *VECTOR_CASES.values())),
     ]
 
@@ -383,7 +392,7 @@ def test_rank_one_words_of_a_vector_code_come_from_its_subfield_subcode():
         A1 = rank_distribution(code)[1]
         assert A1 == (q**code.m - 1) // (q - 1) * (subcode - 1), (code.n, code.m, q, code.rows)
         with_rank_one += A1 > 0
-    assert (len(codes), with_rank_one) == (163, 67)
+    assert (len(codes), with_rank_one) == (162, 66)
 
 
 @pytest.mark.parametrize("bsize", [0, ENUM_LIMIT], ids=["ball-scan", "code-scan"])
@@ -406,7 +415,7 @@ def test_rank_distribution_sums_are_list_sizes_at_zero(bsize, monkeypatch):
     monkeypatch.setattr(experiments, "enumerate_ball", spy)
     monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: bsize)
     for code in _rank_distribution_codes():
-        A, zero = rank_distribution(code), code.word((0,) * code.width)
+        A, zero = rank_distribution(code), [0] * code.width
         for r in range(code.n + 1):
             if ball_size_exact(code.n, code.m, code.q, r) <= SPELL_OUT_LIMIT:
                 spans.clear()
@@ -445,8 +454,8 @@ def _check_forced_ball_route(q, side, limit, code_scan, monkeypatch):
             if key not in words:
                 words[key] = list(ball_words(code.field, *key))
             syndromes = [code.syndrome(list(itertools.chain.from_iterable(e))) for e in words[key]]
-            for y, flat, d in zip(centers, flats, dists):
-                got = list_size_at(code, y, r)
+            for flat, d in zip(flats, dists):
+                got = list_size_at(code, flat, r)
                 assert got == syndromes.count(code.syndrome(flat)), (code.n, code.m, code.rows, flat, r)
                 assert d is None or got == sum(rk <= r for rk in d), (code.n, code.m, code.rows, flat, r)
                 cases += 1
@@ -513,7 +522,7 @@ def test_zero_radius_ball_route_builds_no_row_table():
         for center in (_random_word(code, rng), code.basis[0]):
             tracemalloc.start()
             try:
-                got = list_size_at(code, center, 0)
+                got = list_size_at(code, code.flat(center), 0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -536,7 +545,7 @@ def test_tall_gf2_code_takes_the_ball_route(monkeypatch):
         words = list(code.iter_words())
         for center in [_random_word(code, rng) for _ in range(4)] + [rng.choice(words)]:
             spans.clear()
-            assert list_size_at(code, center, 1) == sum(rank_distance(center, w) <= 1 for w in words)
+            assert list_size_at(code, code.flat(center), 1) == sum(rank_distance(center, w) <= 1 for w in words)
             assert spans == [1]
 
 
@@ -598,7 +607,7 @@ def test_dual_contains_matches_solve_in_span(case):
 def test_dual_and_its_check_run_one_elimination(monkeypatch):
     codes = [
         so_code(field_from_q(3), 2, 3, 2, random.Random(5)),
-        so_code(F2, 5, 3, 2, random.Random(5), repr="vector", ext=E8_NONPOLY),
+        so_code(F2, 5, 3, 2, random.Random(5), repr="vector", ext=ext_field(2, 3)),
     ]
     calls = []
     nullspace = linalg.nullspace
@@ -617,7 +626,7 @@ def test_list_size_tall_code_with_a_small_ball():
     # lattice term: the whole space GF(2)^2 of row spaces.
     ext = ext_field(2, 2)
     code = LinearCode([[int(i == j) for j in range(12)] for i in range(12)], F2, 12, 2, ext)
-    center = VectorWord((1, 2, 3) * 4, ext)
+    center = [1, 2, 3] * 4
     assert list_size_at(code, center, 1) == ball_size_exact(12, 2, 2, 1) == 12_286
     assert list_size_at(code, center, 2) == 16_777_216
 
@@ -632,14 +641,14 @@ def test_lattice_route_beyond_the_ball_limit(monkeypatch):
     assert ball_size_exact(4, 10, 2, 2) > ENUM_LIMIT
     rng = random.Random(71)
     code = _random_code(2, 4, 10, 1, ext, rng)
-    centers = [code.word((0,) * 4), code.basis[0], _random_word(code, rng), _random_word(code, rng)]
+    centers = [[0] * 4, list(code.rows[0]), *(code.flat(_random_word(code, rng)) for _ in range(2))]
     by_code = [list_size_at(code, y, 2) for y in centers]
     monkeypatch.setattr(experiments, "ball_size_exact", lambda n, m, q, r: 0)
     assert [list_size_at(code, y, 2) for y in centers] == by_code
     assert by_code[0] == by_code[1] >= 1  # L(c) = L(0) at a codeword c
     # A 4 x 8 code with 2^23 words, more than ENUM_LIMIT, at r = 4: the
     # whole space, which no longer raises SizeError.
-    assert list_size_at(_BIG, zero_word(F2, 4, 8), 4) == 2**23
+    assert list_size_at(_BIG, [0] * 32, 4) == 2**23
 
 
 def test_list_size_at_full_radius_is_the_code_size(monkeypatch):
@@ -650,25 +659,8 @@ def test_list_size_at_full_radius_is_the_code_size(monkeypatch):
     for code in _rank_distribution_codes():
         assert len(list(enumerate_ball(code.field, code.n, code.m, code.n))) == 1
         size = code.lin_field().order ** code.k
-        for y in (code.word((0,) * code.width), _random_word(code, rng)):
+        for y in ([0] * code.width, code.flat(_random_word(code, rng))):
             assert list_size_at(code, y, code.n) == size, (code.n, code.m, code.q, code.rows)
-
-
-def test_vector_words_read_over_the_code_basis():
-    # A vector word may carry another ExtField object for the code's GF(q^m),
-    # with another attached basis: its coordinates are the same field
-    # elements, so membership and list size must not depend on that basis.
-    pairs = ((ext_field(2, 3), E8_NONPOLY), (E8_NONPOLY, ext_field(2, 3)))
-    for seed, (ext, other) in itertools.product(range(3), pairs):
-        rng = random.Random(seed)
-        code = _random_code(2, 3, 3, 2, ext, rng)
-        words = list(code.iter_words())
-        for x in itertools.product(range(8), repeat=3):
-            assert code.contains(VectorWord(x, other)) == code.contains(VectorWord(x, ext))
-        for _ in range(20):
-            c = VectorWord(tuple(rng.randrange(8) for _ in range(3)), other)
-            for r in range(4):
-                assert list_size_at(code, c, r) == sum(1 for w in words if rank_distance(c, w) <= r)
 
 
 def test_list_size_rejects_a_center_that_does_not_fit():
@@ -683,18 +675,18 @@ def test_list_size_rejects_a_center_that_does_not_fit():
     for code, center in cases:
         for r in range(3):
             with pytest.raises(ParamError):
-                list_size_at(code, center, r)
+                list_size_at(code, code.flat(center), r)
 
 
 def test_list_size_reads_a_center_in_either_picture():
-    # A center in the other picture is read as ``contains`` reads a word: a
-    # matrix center of a vector code over the code's attached basis, a vector
-    # center of a matrix code over the word's own basis.  Both routes are
-    # taken at r = 0..2 (each case's ball radii).
+    # A center in the other picture is read by ``flat``, as ``contains``
+    # reads a word: a matrix center of a vector code and a vector center of a
+    # matrix code through the digits of GF(q^m).  Both routes are taken at
+    # r = 0..2 (each case's ball radii).
     rng = random.Random(67)
     pairs = [(_random_code(*case[:-1], rng), None) for case in VECTOR_CASES.values()]
     for name, exts in {
-        "GF2-2x3-k5": (ext_field(2, 3), E8_NONPOLY),
+        "GF2-2x3-k5": (ext_field(2, 3),),
         "GF3-2x3-k5": (ext_field(3, 3),),
         "GF4-2x3-k5": (ext_field(4, 3),),
         "GF2-2x2-k0": (ext_field(2, 2),),
@@ -711,7 +703,8 @@ def test_list_size_reads_a_center_in_either_picture():
                 center = VectorWord(tuple(rng.randrange(ext.order) for _ in range(code.n)), ext)
                 same = vec_to_mat(center)
             for r in range(3):
-                assert list_size_at(code, center, r) == list_size_at(code, same, r), (code.rows, center, r)
+                got = list_size_at(code, code.flat(center), r)
+                assert got == list_size_at(code, code.flat(same), r), (code.rows, center, r)
 
 
 def test_experiment_config_validation():
@@ -1039,12 +1032,18 @@ _BIG = LinearCode([[int(i == j) for j in range(32)] for i in range(23)], F2, 4, 
 # The same in 10 x 10 matrices, where the ball of radius 5 takes more than
 # ENUM_LIMIT subspaces of GF(2)^10 too.
 _HUGE = LinearCode([[int(i == j) for j in range(100)] for i in range(23)], F2, 10, 10)
+# A GF(4)-linear code of length 2.
+_VECTOR = LinearCode([[1, 2]], F2, 2, 2, ext=ext_field(2, 2))
 # Each argument check with the error class it raises.
 BAD_ARGUMENTS = {
     "gv-rho-above-one": (lambda: gv_rate(0.5, 1.5, 0.1), ParamError),
-    "list-radius-negative": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), -1), ParamError),
-    "list-radius-above-n": (lambda: list_size_at(_BIG, zero_word(F2, 4, 8), 5), ParamError),
-    "list-code-and-ball-too-large": (lambda: list_size_at(_HUGE, zero_word(F2, 10, 10), 5), SizeError),
+    "list-radius-negative": (lambda: list_size_at(_BIG, [0] * 32, -1), ParamError),
+    "list-radius-above-n": (lambda: list_size_at(_BIG, [0] * 32, 5), ParamError),
+    "list-code-and-ball-too-large": (lambda: list_size_at(_HUGE, [0] * 100, 5), SizeError),
+    "list-center-too-short": (lambda: list_size_at(_BIG, [0] * 31, 1), ParamError),
+    "list-center-too-long": (lambda: list_size_at(_BIG, [0] * 33, 1), ParamError),
+    "list-center-outside-the-field": (lambda: list_size_at(_BIG, [2] + [0] * 31, 1), ParamError),
+    "list-vector-center-outside-the-field": (lambda: list_size_at(_VECTOR, [4, 0], 1), ParamError),
     "config-unknown-repr": (lambda: ExperimentConfig(**_CONFIG, repr="tensor"), ParamError),
     "span-radius-above-n": (lambda: span_ball_overlap(F2, [((1, 0), (0, 0))], 3), ParamError),
     "span-radius-negative": (lambda: span_ball_overlap(F2, [((1, 0), (0, 0))], -1), ParamError),
