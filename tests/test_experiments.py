@@ -44,7 +44,7 @@ from sorank.experiments import (
     trial_seed,
     wilson_interval,
 )
-from sorank.fields import ext_field, field_from_q
+from sorank.fields import ExtField, ext_field, field_from_q
 from sorank.words import LinearCode, MatrixWord, VectorWord, dual, is_self_orthogonal, rank_distance
 
 F2 = field_from_q(2)
@@ -661,6 +661,25 @@ def test_list_size_at_full_radius_is_the_code_size(monkeypatch):
         size = code.lin_field().order ** code.k
         for y in ([0] * code.width, code.flat(_random_word(code, rng))):
             assert list_size_at(code, y, code.n) == size, (code.n, code.m, code.q, code.rows)
+
+
+def test_vector_words_read_over_the_code_basis():
+    # A vector word may carry another ExtField object for the code's GF(q^m),
+    # here GF(8) built apart over the packed GF(2): its coordinates are the
+    # same field elements, so membership and list size must not depend on
+    # which object the word carries.
+    apart = ExtField(ext_field(2, 1), 3)
+    pairs = ((ext_field(2, 3), apart), (apart, ext_field(2, 3)))
+    for seed, (ext, other) in itertools.product(range(3), pairs):
+        rng = random.Random(seed)
+        code = _random_code(2, 3, 3, 2, ext, rng)
+        words = list(code.iter_words())
+        for x in itertools.product(range(8), repeat=3):
+            assert code.contains(VectorWord(x, other)) == code.contains(VectorWord(x, ext))
+        for _ in range(20):
+            c = VectorWord(tuple(rng.randrange(8) for _ in range(3)), other)
+            for r in range(4):
+                assert list_size_at(code, code.flat(c), r) == sum(1 for w in words if rank_distance(c, w) <= r)
 
 
 def test_list_size_rejects_a_center_that_does_not_fit():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -55,6 +56,18 @@ def test_prime_field_is_int_arithmetic_mod_p(p):
 def test_field_from_q_of_a_prime_power_is_the_extension(p, e):
     assert field_from_q(p**e) is ext_field(p, e)
     assert field_from_q(p) is ext_field(p, e).base
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_extension_over_the_packed_prime_field_is_the_same_field(p, m):
+    # ExtField takes another ExtField as its base: over ext_field(p, 1), whose
+    # arithmetic runs through tables, it finds the same modulus and builds
+    # the same field as ext_field(p, m) over Field(p).
+    E, T = ext_field(p, m), ExtField(ext_field(p, 1), m)
+    assert (T.q, T.m, T.modulus, T.basis) == (E.q, E.m, E.modulus, E.basis)
+    for a, b in itertools.product(range(E.order), repeat=2):
+        assert (T.add(a, b), T.mul(a, b)) == (E.add(a, b), E.mul(a, b))
+    assert [T.trace(x) for x in range(T.order)] == [E.trace(x) for x in range(E.order)]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])

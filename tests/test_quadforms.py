@@ -8,7 +8,7 @@ import pytest
 from oracles import from_full_matrix, iter_roots_brute, rank_of_form_two_matrices, transform
 from sorank import construct, linalg, quadforms
 from sorank.errors import ParamError, SizeError
-from sorank.fields import ext_field, field_from_q, prime_power
+from sorank.fields import ExtField, ext_field, field_from_q, prime_power
 from sorank.quadforms import (
     QuadraticForm,
     count_roots_brute,
@@ -196,10 +196,16 @@ def _forms_for_root_listing(field, N, rng):
 
 
 # GF(p) over itself adds through Zech logarithms where Field(p) adds mod p.
+# field_from_q(8) is ext_field(2, 3) and field_from_q(16) is ext_field(2, 4),
+# both over Field(2); the ExtField rows build GF(8) and GF(16) apart, over the
+# packed GF(2) of ext_field(2, 1), which must leave the roots and their order
+# as they are.
+E8_OVER_PACKED = ExtField(ext_field(2, 1), 3)
+E16_OVER_PACKED = ExtField(ext_field(2, 1), 4)
 ROOT_LISTING_GRID = (
     _field_params((2, 3, 4, 5, ext_field(3, 1)), range(1, 6))
-    + _field_params((8, 9, ext_field(5, 1)), range(1, 5))
-    + _field_params((16, ext_field(7, 1)), range(1, 4))
+    + _field_params((8, E8_OVER_PACKED, 9, ext_field(5, 1)), range(1, 5))
+    + _field_params((16, E16_OVER_PACKED, ext_field(7, 1)), range(1, 4))
 )
 
 
@@ -234,9 +240,11 @@ def test_iter_roots_rejects_a_negative_start():
             next(iter_roots(f, start=-1))
 
 
-# Characteristic-2 fields with q^N <= 4096.
+# Characteristic-2 fields with q^N <= 4096, GF(8) and GF(16) also built over
+# the packed GF(2).
 CHAR2_DIAGONAL_GRID = _field_params((2,), range(1, 13)) + _field_params((4,), range(1, 7))
-CHAR2_DIAGONAL_GRID += _field_params((8,), range(1, 5)) + _field_params((16,), range(1, 4))
+CHAR2_DIAGONAL_GRID += _field_params((8, E8_OVER_PACKED), range(1, 5))
+CHAR2_DIAGONAL_GRID += _field_params((16, E16_OVER_PACKED), range(1, 4))
 
 
 def _char2_diagonal_forms(field, N, rng):
