@@ -272,9 +272,9 @@ def _estimate(trials, seed, event, extra):
 def span_ball_overlap(field, words, radius):
     """|span{X_1..X_l} cap B_R(0, radius)| for n x m matrices X_i over
     ``field``, each given as its rows: the list size at the zero word of the
-    code the X_i span, its basis the nonzero rows of their flattened rref."""
-    R, pivots = linalg.rref(field, [[v for row in w for v in row] for w in words])
-    code = LinearCode(R[: len(pivots)], field, len(words[0]), len(words[0][0]))
+    code the X_i span, its basis the rows of their flattened rref."""
+    R, _ = linalg.rref(field, [[v for row in w for v in row] for w in words])
+    code = LinearCode(R, field, len(words[0]), len(words[0][0]))
     return list_size_at(code, [0] * code.width, radius)
 
 

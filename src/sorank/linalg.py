@@ -2,8 +2,11 @@
 
 All routines take a field object ``F`` exposing ``add``, ``sub``, ``mul``,
 ``inv`` on integer-encoded elements, and matrices as lists (or tuples) of
-rows of such integers.  Everything is plain Gaussian elimination; the
-desk-scale sizes this toolkit works at make asymptotics irrelevant.
+rows of such integers.  There are two eliminations, plain Gauss at desk
+scale: the forward pass ``pivots`` answers rank and pivot questions, and
+``extend_rref`` grows a reduced basis a row at a time, ``rref`` being its
+fold.  Both stay: with no scaling or clearing above, the forward pass is
+the cheaper way to the ranks that the code scans and the lattice route take.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ def combine(F, coeffs, rows, start=None):
     return out
 
 
-def _echelon(F, rows):
-    """The package's one elimination loop, a forward pass: ``(M, pivots)``
-    with M in row-echelon form, zero below each pivot.  Pivot entries are
-    not scaled.  Input is not modified."""
+def pivots(F, rows):
+    """The pivot columns of ``rows``, which are ``rref``'s, by a forward
+    pass: each pivot is cleared below, but neither scaled nor cleared above.
+    Input is not modified."""
     sub, mul, inv = F.sub, F.mul, F.inv
     M = [list(r) for r in rows]
     nrows = len(M)
@@ -63,32 +66,17 @@ def _echelon(F, rows):
                     if row_r[j]:
                         row_i[j] = sub(row_i[j], mul(f, row_r[j]))
         pivots.append(c)
-    return M, pivots
+    return pivots
 
 
 def rref(F, rows):
-    """Reduced row-echelon form: the forward pass, then back-substitution
-    from the last pivot up, each pivot scaled to 1 and cleared above.
-
-    Returns ``(reduced_rows, pivot_cols)``.  Input is not modified.
-    """
-    sub, mul, inv = F.sub, F.mul, F.inv
-    M, pivots = _echelon(F, rows)
-    ncols = len(M[0]) if M else 0
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        piv = inv(M[r][c])
-        if piv != 1:
-            M[r] = [mul(piv, v) for v in M[r]]
-        row_r = M[r]
-        for i in range(r):
-            f = M[i][c]
-            if f:
-                row_i = M[i]
-                for j in range(c, ncols):
-                    if row_r[j]:
-                        row_i[j] = sub(row_i[j], mul(f, row_r[j]))
-    return M, pivots
+    """Reduced row-echelon form, ``(R, pivot_cols)``: the nonzero rows of the
+    RREF of ``rows``, folded in one at a time by ``extend_rref``.  Input is
+    not modified."""
+    R, pivot_cols = [], []
+    for x in rows:
+        extend_rref(F, R, pivot_cols, x)
+    return R, pivot_cols
 
 
 def extend_rref(F, R, pivots, x):
@@ -96,8 +84,8 @@ def extend_rref(F, R, pivots, x):
     x lies in their span iff its residual x - sum_i x[p_i] R[i] is zero:
     then False, with both unchanged.  Otherwise the residual, scaled to 1 at
     its first nonzero column c, is cleared from column c of the other rows
-    and inserted in pivot order, which is ``rref`` of the rows and x, a row
-    space's RREF being unique; True."""
+    and inserted in pivot order, so that ``(R, pivots)`` is the RREF of the
+    rows and x, a row space's RREF being unique; True."""
     sub, mul = F.sub, F.mul
     r = list(x)
     ncols = len(r)
@@ -125,14 +113,9 @@ def extend_rref(F, R, pivots, x):
     return True
 
 
-def pivots(F, rows):
-    """The pivot columns of the forward pass, the same as ``rref``'s."""
-    return _echelon(F, rows)[1]
-
-
 def rank(F, rows):
-    """Rank: the pivot count of the forward pass (no back-substitution)."""
-    return len(_echelon(F, rows)[1])
+    """Rank: the pivot count of the forward pass."""
+    return len(pivots(F, rows))
 
 
 def is_independent(F, rows):

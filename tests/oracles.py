@@ -228,6 +228,17 @@ def frobenius_trace(ext, x):
     return s
 
 
+def count_eliminations(monkeypatch):
+    """Patch ``linalg.pivots`` and ``linalg.rref``, the two public
+    eliminations that ``rank``, ``is_independent`` and ``nullspace`` reach
+    too, to record the rows of each call in the list returned."""
+    calls = []
+    for name in ("pivots", "rref"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda F, rows, fn=fn: calls.append(rows) or fn(F, rows))
+    return calls
+
+
 def solve_in_span(F, basis_rows, target):
     """Coefficients c with sum_i c_i * basis_rows[i] == target, or None."""
     if not basis_rows:
@@ -277,9 +288,9 @@ def iter_roots_brute(f: QuadraticForm, nonzero=False):
 
 
 def span_key(F, rows):
-    """The nonzero RREF rows of span(rows): one key per subspace."""
-    R, pivots = linalg.rref(F, rows)
-    return tuple(tuple(row) for row in R[: len(pivots)])
+    """The RREF rows of span(rows): one key per subspace."""
+    R, _ = linalg.rref(F, rows)
+    return tuple(tuple(row) for row in R)
 
 
 def so_code_law(F, D, k):

@@ -179,8 +179,8 @@ def test_construction_varies_with_seed():
     # Equal codes share the reduced row-echelon form of their basis rows.
     keys = set()
     for s in range(40):
-        R, pivots = linalg.rref(F2, so_code(F2, 2, 4, 3, random.Random(s)).rows)
-        keys.add(tuple(tuple(R[i]) for i in range(len(pivots))))
+        R, _ = linalg.rref(F2, so_code(F2, 2, 4, 3, random.Random(s)).rows)
+        keys.add(tuple(map(tuple, R)))
     assert len(keys) > 1
 
 

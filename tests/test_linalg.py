@@ -39,12 +39,21 @@ def test_nullspace_vectors_satisfy_equations(F):
     rng = random.Random(13)
     for _ in range(30):
         M = _random_matrix(F, 3, 5, rng)
-        for v in linalg.nullspace(F, M):
+        basis = linalg.nullspace(F, M)
+        assert linalg.is_independent(F, basis)
+        for v in basis:
             for row in M:
                 s = 0
                 for a, x in zip(row, v):
                     s = F.add(s, F.mul(a, x))
                 assert s == 0
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_nullspace_of_a_zero_row_is_the_unit_vectors(F):
+    # LinearCode.kernel of the zero code passes one zero row for its width.
+    for D in range(1, 6):
+        assert linalg.nullspace(F, [[0] * D]) == [[int(i == j) for j in range(D)] for i in range(D)]
 
 
 @pytest.mark.parametrize("F", FIELDS)
@@ -116,8 +125,7 @@ def test_rref_is_reduced_and_keeps_the_row_space(F):
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
         for i, c in enumerate(pivots):
             assert [row[c] for row in R] == [int(j == i) for j in range(len(R))]
-        assert all(not any(row) for row in R[r:])
-        assert len(R) == len(M)
+        assert len(R) == r
         if M:
             assert linalg.rank(F, R) == r == linalg.rank(F, M + R)
 
@@ -133,8 +141,9 @@ def test_pivots_are_the_pivots_of_rref(F):
 def test_extend_rref_is_the_rref_of_the_rows_taken(F):
     # Words are uniform, zero, repeats of a taken row or combinations of the
     # taken rows.  extend_rref takes exactly those outside the span so far,
-    # after which (R, pivots) is rref of the rows taken; a word inside the
-    # span leaves both as they were.
+    # after which (R, pivots) is the RREF of the rows taken, checked against
+    # the forward pass: its pivots, unit pivot columns and R spanning the
+    # rows taken.  A word inside the span leaves both as they were.
     rng = random.Random(37)
     for _ in range(60):
         D = rng.randrange(1, 8)
@@ -150,10 +159,15 @@ def test_extend_rref_is_the_rref_of_the_rows_taken(F):
             else:
                 x = linalg.combine(F, [rng.randrange(F.order) for _ in taken], taken)
             inside = solve_in_span(F, taken, x) is not None
+            grows = linalg.rank(F, taken + [x]) > linalg.rank(F, taken)
             before = ([list(row) for row in R], list(pivots))
             assert linalg.extend_rref(F, R, pivots, x) is not inside
+            assert grows is not inside
             if inside:
                 assert (R, pivots) == before
             else:
                 taken.append(x)
-                assert (R, pivots) == linalg.rref(F, taken)
+                assert pivots == linalg.pivots(F, taken)
+                for i, c in enumerate(pivots):
+                    assert [row[c] for row in R] == [int(j == i) for j in range(len(R))]
+                assert linalg.rank(F, taken + R) == len(R)

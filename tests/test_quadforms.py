@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from oracles import from_full_matrix, iter_roots_brute, rank_of_form_two_matrices, transform
+from oracles import count_eliminations, from_full_matrix, iter_roots_brute, rank_of_form_two_matrices, transform
 from sorank import construct, linalg, quadforms
 from sorank.errors import ParamError, SizeError
 from sorank.fields import ExtField, ext_field, field_from_q, prime_power
@@ -106,9 +106,7 @@ def test_rank_of_form_in_characteristic_two_eliminates_once(monkeypatch):
     # The alternating part's rank is N minus the dimension of its radical,
     # so the one elimination that finds the radical gives both; in odd
     # characteristic the rank of A + A^T is one elimination too.
-    calls = []
-    echelon = linalg._echelon
-    monkeypatch.setattr(linalg, "_echelon", lambda F, rows: calls.append(rows) or echelon(F, rows))
+    calls = count_eliminations(monkeypatch)
     rng = random.Random(17)
     for field in (F2, field_from_q(4), field_from_q(8), F3, F5, field_from_q(9)):
         for N in (2, 3, 5):
